@@ -2,7 +2,8 @@
 # Tier-1 check: configure, build, and run the full test suite — the
 # exact gate a change must pass before merging.
 #
-#   scripts/check.sh                 standard RelWithDebInfo build
+#   scripts/check.sh                 standard RelWithDebInfo build,
+#                                    warnings as errors (-Werror)
 #   scripts/check.sh --tsan          ThreadSanitizer build (separate
 #                                    build tree; vets the concurrent
 #                                    store publish/lock paths)
@@ -73,7 +74,9 @@ set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD="$ROOT/build"
-EXTRA_CMAKE=""
+# The default gate treats every compiler warning as an error; the
+# sanitizer legs configure their own trees without it.
+EXTRA_CMAKE="-DCMAKE_CXX_FLAGS=-Werror"
 
 if [ "${1:-}" = "--faults" ]; then
   shift

@@ -75,128 +75,100 @@ void Engine::chargePersistFirstTouch(TranslatedTrace *T) {
 Status Engine::ensureMaterialized(TranslatedTrace *T) {
   if (T->isMaterialized())
     return Status::success();
-  assert(T->isFromPersistentCache() &&
-         "only persisted traces are unmaterialized");
-  if (PersistedPayload *P = T->persistedPayload()) {
-    if (P->Xip) {
-      // Execute-in-place materialization: the pool bytes live in a
-      // borrowed read-only mapping. CRC-check them where they lie,
-      // bounds-scan the instruction fields in place (the executor
-      // indexes the register file unchecked, so a CRC-intact but
-      // malicious body must still be rejected), and point the trace's
-      // body at the mapping — no decode, no copy. The modeled charges
-      // are exactly the materializing path's: per-trace CRC +
-      // materialize + first-touch paging, so EngineStats stay
-      // bit-identical across the two paths.
-      assert(P->RebaseDelta == 0 && "XIP requires an unrelocated load");
-      Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
-      ++Stats.TracePayloadsValidated;
-      const uint8_t *Raw = Cache.codeAt(T->poolOffset());
-      if (crc32(Raw, T->poolBytes()) != P->ExpectedCodeCrc)
-        return Status::error(ErrorCode::InvalidFormat,
-                             "persisted trace payload checksum mismatch");
-      const auto *InPlace =
-          reinterpret_cast<const Instruction *>(Raw + TracePrologueBytes);
-      if (!isa::validInPlace(InPlace, T->guestInstCount()))
-        return Status::error(
-            ErrorCode::InvalidFormat,
-            "persisted trace body fails in-place field validation");
-      if (ValidateMaterialize) {
-        std::vector<Instruction> Copy(InPlace,
-                                      InPlace + T->guestInstCount());
-        Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
-        if (!Verdict.ok())
-          return Verdict;
-      }
-      T->clearPersistedPayload();
-      T->materializeBorrowed(InPlace);
-      chargePersistFirstTouch(T);
-      ++Stats.TracesReused;
-      return Status::success();
-    }
-    // Deferred per-trace validation (cache format v2): prime() checked
-    // only the header, module table and trace index, so the payload CRC
-    // runs here, on first execution — over the raw stored bytes, before
-    // any position-independent rebase touches them. With an install
-    // queue the host-side CRC + decode may already have happened on a
-    // worker (over the same stored bytes); the modeled charges below
-    // are made here either way, so the cost model cannot observe the
-    // worker count.
-    std::optional<ReadyTrace> Ready;
-    if (InstallQ) {
-      auto It = Prevalidated.find(T->guestStart());
-      if (It != Prevalidated.end()) {
-        Ready = std::move(It->second);
-        Prevalidated.erase(It);
-      } else {
-        // Unclaimed jobs are withdrawn (we validate inline); in-flight
-        // jobs are waited for so the work happens exactly once. The
-        // chunk-mates that arrive alongside the requested trace are
-        // stashed for their own first executions.
-        for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
-          if (R.GuestStart == T->guestStart())
-            Ready = std::move(R);
-          else
-            Prevalidated.emplace(R.GuestStart, std::move(R));
-        }
-      }
-    }
+  PersistedPayload *P = T->persistedPayload();
+  assert(T->isFromPersistentCache() && P &&
+         "only persisted traces are unmaterialized, and each carries "
+         "its deferred payload");
+  if (P->Xip) {
+    // Execute-in-place materialization: the pool bytes live in a
+    // borrowed read-only mapping. CRC-check them where they lie,
+    // bounds-scan the instruction fields in place (the executor
+    // indexes the register file unchecked, so a CRC-intact but
+    // malicious body must still be rejected), and point the trace's
+    // body at the mapping — no decode, no copy. The modeled charges
+    // are exactly the materializing path's: per-trace CRC +
+    // materialize + first-touch paging, so EngineStats stay
+    // bit-identical across the two paths.
+    assert(P->RebaseDelta == 0 && "XIP requires an unrelocated load");
     Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
     ++Stats.TracePayloadsValidated;
-    if (Ready) {
-      if (!Ready->CrcOk)
-        return Status::error(ErrorCode::InvalidFormat,
-                             "persisted trace payload checksum mismatch");
-      // The worker rebased the decoded body; the pool copy still holds
-      // the raw stored bytes and finalize() harvests code from the
-      // pool, so it must be rebased here exactly as the inline path
-      // does.
-      if (P->RebaseDelta != 0) {
-        uint8_t *Image = Cache.mutableCodeAt(T->poolOffset());
-        for (uint32_t I = 0; I != T->guestInstCount(); ++I) {
-          uint32_t Byte = I / 8;
-          if (Byte < P->RelocMask.size() &&
-              (P->RelocMask[Byte] >> (I % 8)) & 1)
-            rebaseTranslatedImmediate(Image, T->poolBytes(), I,
-                                      P->RebaseDelta);
-        }
-      }
-      T->clearPersistedPayload();
-      if (!Ready->DecodeError.ok())
-        return Ready->DecodeError;
-      if (ValidateMaterialize) {
-        Status Verdict =
-            runMaterializeCheck(T->guestStart(), Ready->Body);
-        if (!Verdict.ok())
-          return Verdict;
-      }
-      T->materialize(std::move(Ready->Body));
-      chargePersistFirstTouch(T);
-      ++Stats.TracesReused;
-      return Status::success();
-    }
     const uint8_t *Raw = Cache.codeAt(T->poolOffset());
     if (crc32(Raw, T->poolBytes()) != P->ExpectedCodeCrc)
       return Status::error(ErrorCode::InvalidFormat,
                            "persisted trace payload checksum mismatch");
-    if (P->RebaseDelta != 0) {
-      uint8_t *Image = Cache.mutableCodeAt(T->poolOffset());
-      for (uint32_t I = 0; I != T->guestInstCount(); ++I) {
-        uint32_t Byte = I / 8;
-        if (Byte < P->RelocMask.size() &&
-            (P->RelocMask[Byte] >> (I % 8)) & 1)
-          rebaseTranslatedImmediate(Image, T->poolBytes(), I,
-                                    P->RebaseDelta);
-      }
+    const auto *InPlace =
+        reinterpret_cast<const Instruction *>(Raw + TracePrologueBytes);
+    if (!isa::validInPlace(InPlace, T->guestInstCount()))
+      return Status::error(
+          ErrorCode::InvalidFormat,
+          "persisted trace body fails in-place field validation");
+    if (ValidateMaterialize) {
+      std::vector<Instruction> Copy(InPlace,
+                                    InPlace + T->guestInstCount());
+      Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
+      if (!Verdict.ok())
+        return Verdict;
     }
     T->clearPersistedPayload();
+    T->materializeBorrowed(InPlace);
+    chargePersistFirstTouch(T);
+    ++Stats.TracesReused;
+    return Status::success();
   }
-  auto Body = isa::decodeAll(
-      Cache.codeAt(T->poolOffset() + TracePrologueBytes),
-      T->guestInstCount());
-  if (!Body)
-    return Body.status();
-  std::vector<Instruction> Decoded = Body.take();
+  // Deferred per-trace validation: prime() checked only the header,
+  // module table and trace index, so the payload CRC runs here, on
+  // first execution — over the raw stored bytes, before any
+  // position-independent rebase touches them. With an install queue
+  // the host-side CRC + decode may already have happened on a worker
+  // (over the same stored bytes); the modeled charges below are made
+  // here either way, so the cost model cannot observe the worker count.
+  std::optional<ReadyTrace> Ready;
+  if (InstallQ) {
+    auto It = Prevalidated.find(T->guestStart());
+    if (It != Prevalidated.end()) {
+      Ready = std::move(It->second);
+      Prevalidated.erase(It);
+    } else {
+      // Unclaimed jobs are withdrawn (we validate inline); in-flight
+      // jobs are waited for so the work happens exactly once. The
+      // chunk-mates that arrive alongside the requested trace are
+      // stashed for their own first executions.
+      for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
+        if (R.GuestStart == T->guestStart())
+          Ready = std::move(R);
+        else
+          Prevalidated.emplace(R.GuestStart, std::move(R));
+      }
+    }
+  }
+  Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
+  ++Stats.TracePayloadsValidated;
+  bool CrcOk = Ready ? Ready->CrcOk
+                     : crc32(Cache.codeAt(T->poolOffset()),
+                             T->poolBytes()) == P->ExpectedCodeCrc;
+  if (!CrcOk)
+    return Status::error(ErrorCode::InvalidFormat,
+                         "persisted trace payload checksum mismatch");
+  // finalize() harvests code from the pool, so the pool copy is rebased
+  // even when a worker already rebased the decoded body.
+  if (P->RebaseDelta != 0)
+    rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
+                          T->poolBytes(), T->guestInstCount(),
+                          P->RelocMask, P->RebaseDelta);
+  T->clearPersistedPayload();
+  std::vector<Instruction> Decoded;
+  if (Ready) {
+    if (!Ready->DecodeError.ok())
+      return Ready->DecodeError;
+    Decoded = std::move(Ready->Body);
+  } else {
+    auto Body = isa::decodeAll(
+        Cache.codeAt(T->poolOffset() + TracePrologueBytes),
+        T->guestInstCount());
+    if (!Body)
+      return Body.status();
+    Decoded = Body.take();
+  }
   if (ValidateMaterialize) {
     // Deep semantic verification: the decoded (rebased) body must be
     // effect-equivalent to the guest instructions it claims to

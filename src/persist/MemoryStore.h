@@ -45,6 +45,10 @@ public:
   ErrorOr<CacheFile> loadRef(const std::string &Ref) override;
   Status put(uint64_t LookupKey, const CacheFile &File) override;
   Status putRef(const std::string &Ref, const CacheFile &File) override;
+  /// Stores \p Bytes at \p Ref verbatim, without parsing them: the
+  /// in-memory counterpart of writing a raw file into a directory store
+  /// (fixtures holding damaged or retired-format images).
+  Status putBytes(const std::string &Ref, std::vector<uint8_t> Bytes);
   ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;

@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -245,25 +244,15 @@ private:
                        const std::vector<ModuleKey> &Persisted,
                        PrimeResult &Result, std::vector<int64_t> &Delta,
                        std::vector<std::pair<uint32_t, uint32_t>> &Region);
-  Status installCache(dbi::Engine &Engine, const CacheFile &File,
-                      PrimeResult &Result);
-  /// v2 install: traces enter the cache as unmaterialized index
-  /// references; code bytes are copied raw and their CRC + decode (and
-  /// PIC rebase) deferred to Engine::ensureMaterialized().
-  Status installView(dbi::Engine &Engine, const CacheFileView &View,
-                     PrimeResult &Result);
-  /// v3 execute-in-place install: the code cache borrows the view's
-  /// page-aligned payload section (kept alive by LoadedView) and every
-  /// trace is installed at its file code offset — zero payload bytes
-  /// copied, zero decode work queued. Returns false without touching
-  /// the engine when the file/session/host combination does not
-  /// qualify (any rebase delta, any unusable trace, validation modes,
-  /// big-endian host); the caller then falls back to the materializing
-  /// install, whose modeled stats are bit-identical.
-  ErrorOr<bool>
-  installViewXip(dbi::Engine &Engine, const CacheFileView &View,
-                 PrimeResult &Result, const std::vector<int64_t> &Delta,
-                 const std::vector<std::pair<uint32_t, uint32_t>> &Region);
+  /// Installs LoadedView's usable traces as unmaterialized index
+  /// references whose CRC + decode (and PIC rebase) are deferred to
+  /// Engine::ensureMaterialized(), then restores their persisted links.
+  /// The code pool is either the file's page-aligned payload section,
+  /// borrowed in place (execute-in-place: a v3 file whose every trace
+  /// is usable at an unchanged base, outside validation modes) or a
+  /// packed copy of the usable traces' raw code bytes. The two pools
+  /// charge bit-identical modeled stats.
+  Status installView(dbi::Engine &Engine, PrimeResult &Result);
 
   /// Hands the deferred payload jobs recorded by installView() to the
   /// worker pool and attaches the install queue to \p Engine.
@@ -272,16 +261,13 @@ private:
   const CacheDatabase &Db;
   PersistOptions Opts;
 
-  /// One deferred payload-validation job, recorded at install time and
-  /// turned into a queue job once LoadedView owns the file bytes.
+  /// One deferred payload-validation job, recorded at install time;
+  /// the worker reads the code image, CRC and reloc mask from
+  /// LoadedView's index entry.
   struct AsyncPayloadJob {
-    uint32_t GuestStart = 0;   ///< Rebased start (the install key).
-    uint32_t TraceIndex = 0;   ///< Index into the source trace index.
-    uint32_t GuestInstCount = 0;
-    uint32_t CodeSize = 0;
-    uint32_t ExpectedCrc = 0;
+    uint32_t GuestStart = 0; ///< Rebased start (the install key).
+    uint32_t TraceIndex = 0; ///< Index into the source trace index.
     int64_t RebaseDelta = 0;
-    std::vector<uint8_t> RelocMask;
   };
   std::vector<AsyncPayloadJob> AsyncJobs;
   /// One payload validated exactly as the engine's inline
@@ -311,14 +297,13 @@ private:
   };
   std::shared_ptr<FinalizeState> Fin;
 
-  /// State carried from prime() to finalize(). At most one of
-  /// LoadedCache (v1) and LoadedView (v2) is engaged. The view is
-  /// shared because an XIP install hands it to the code cache as the
-  /// keepalive of the borrowed payload mapping.
-  std::optional<CacheFile> LoadedCache;
+  /// State carried from prime() to finalize(): the primed cache (null
+  /// when prime found none it could use). The view is shared because
+  /// an XIP install hands it to the code cache as the keepalive of the
+  /// borrowed payload mapping.
   std::shared_ptr<CacheFileView> LoadedView;
-  std::vector<bool> ModuleValidated; ///< Per LoadedCache module.
-  std::vector<bool> ModuleLoadedNow; ///< Per LoadedCache module.
+  std::vector<bool> ModuleValidated; ///< Per LoadedView module.
+  std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
   /// Promoted traces installed by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
   /// in with the record, or empty when none is usable (rebase delta,

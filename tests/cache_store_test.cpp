@@ -112,8 +112,8 @@ TEST_P(CacheStoreTest, PutOpenLoadRetireRoundtrip) {
 
   auto Opened = Store->openKey(7, CacheFileView::Depth::Index);
   ASSERT_TRUE(Opened.ok()) << Opened.status().toString();
-  EXPECT_EQ(Opened->generation(), 3u);
-  EXPECT_EQ(Opened->engineHash(), dbi::engineVersionHash());
+  EXPECT_EQ(Opened->View.generation(), 3u);
+  EXPECT_EQ(Opened->View.engineHash(), dbi::engineVersionHash());
 
   auto Loaded = Store->loadKey(7);
   ASSERT_TRUE(Loaded.ok());
@@ -900,11 +900,6 @@ TEST(WriterTagTest, RoundTripsThroughV2HeaderAndView) {
   auto Back = CacheFile::deserialize(File.serialize());
   ASSERT_TRUE(Back.ok());
   EXPECT_EQ(Back->WriterTag, 0xBEEFu);
-
-  // Legacy files have no tag slot: it reads back untagged.
-  auto Legacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(Legacy.ok());
-  EXPECT_EQ(Legacy->WriterTag, 0u);
 }
 
 TEST(WriterTagTest, FinalizeTagsTheCacheWithThisProcess) {

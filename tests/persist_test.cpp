@@ -10,11 +10,16 @@
 #include "persist/CacheDatabase.h"
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
+#include "persist/DbCheck.h"
+#include "persist/DirectoryStore.h"
 #include "persist/Key.h"
+#include "persist/MemoryStore.h"
 #include "persist/Session.h"
+#include "persist/TieredStore.h"
 
 #include "TestUtils.h"
 
+#include "support/ByteStream.h"
 #include "support/Hashing.h"
 
 #include <gtest/gtest.h>
@@ -214,59 +219,143 @@ TEST(Database, ClearRemovesEverything) {
 }
 
 //===----------------------------------------------------------------------===//
-// Format migration: legacy (v1) cache files still deserialize, prime
-// identically to their v2 rewrite, and are upgraded to v2 by the next
-// finalize().
+// Retired v1 format: a "PCC1" file is an unsupported version like any
+// other. The session runs cold and records why, the next write-back
+// leaves a v2 file in the app's slot, and checkDatabase --repair
+// quarantines the v1 file as version-mismatch.
 //===----------------------------------------------------------------------===//
 
-TEST(FormatMigration, LegacyAndV2RoundTripAgree) {
-  CacheFile File;
-  File.EngineHash = 11;
-  File.ToolHash = 22;
-  File.SpecBits = 3;
-  File.PositionIndependent = true;
-  File.Generation = 4;
-  ModuleKey Key;
-  Key.Path = "/bin/y";
-  Key.Base = 0x400000;
-  Key.Size = 0x10000;
-  File.Modules.push_back(Key);
-  TraceRecord Trace;
-  Trace.GuestStart = 0x400100;
-  Trace.GuestInstCount = 3;
-  Trace.Code.assign(dbi::TracePrologueBytes + 3 * isa::InstructionSize,
-                    0x5c);
-  Trace.Exits.push_back(ExitRecord{1, 2, 0x400200, 0});
-  Trace.setRelocBit(0);
-  Trace.setRelocBit(2);
-  File.Traces.push_back(Trace);
+namespace {
 
-  auto FromLegacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(FromLegacy.ok()) << FromLegacy.status().toString();
-  auto FromV2 = CacheFile::deserialize(File.serialize());
-  ASSERT_TRUE(FromV2.ok()) << FromV2.status().toString();
-  EXPECT_EQ(FromLegacy->SourceFormat, 1u);
-  EXPECT_EQ(FromV2->SourceFormat, 2u);
-  EXPECT_TRUE(FromLegacy->validate().ok());
-  EXPECT_TRUE(FromV2->validate().ok());
+/// A v1-layout image: "PCC1" magic, the v1 header fields carrying this
+/// engine's and the tool-less keys, no modules or traces, and the
+/// trailing whole-file CRC. Key-compatible, so only its format can
+/// disqualify it.
+std::vector<uint8_t> legacyV1Image() {
+  ByteWriter Writer;
+  Writer.writeU32(LegacyCacheMagic);
+  Writer.writeU32(2); // The v1 layout's own version field.
+  Writer.writeU64(dbi::engineVersionHash());
+  Writer.writeU64(noToolHash());
+  Writer.writeU8(0);  // SpecBits.
+  Writer.writeU8(0);  // PositionIndependent.
+  Writer.writeU32(1); // Generation.
+  Writer.writeU32(0); // Module count.
+  Writer.writeU32(0); // Trace count.
+  Writer.writeU32(crc32(Writer.bytes().data(), Writer.size()));
+  return Writer.take();
+}
 
-  // Same logical content regardless of the on-disk format.
-  for (const CacheFile *Back : {&*FromLegacy, &*FromV2}) {
-    EXPECT_EQ(Back->EngineHash, 11u);
-    EXPECT_EQ(Back->Generation, 4u);
-    ASSERT_EQ(Back->Modules.size(), 1u);
-    EXPECT_EQ(Back->Modules[0].Path, "/bin/y");
-    ASSERT_EQ(Back->Traces.size(), 1u);
-    EXPECT_EQ(Back->Traces[0].Code, Trace.Code);
-    EXPECT_EQ(Back->Traces[0].Exits.size(), 1u);
-    EXPECT_TRUE(Back->Traces[0].relocBit(2));
-    EXPECT_FALSE(Back->Traces[0].relocBit(1));
+enum class LegacyBackend { Directory, Memory, TieredL2Only };
+
+struct LegacyCase {
+  const char *Label;
+  LegacyBackend Backend;
+  /// Plant the v1 image in an inter-application donor's slot (primed
+  /// via ExplicitCachePath) instead of the app's own slot.
+  bool Donor;
+};
+
+} // namespace
+
+TEST(RetiredV1Format, RunsColdRewritesAndQuarantines) {
+  const LegacyCase Cases[] = {
+      {"directory/own", LegacyBackend::Directory, false},
+      {"directory/donor", LegacyBackend::Directory, true},
+      {"memory/own", LegacyBackend::Memory, false},
+      {"memory/donor", LegacyBackend::Memory, true},
+      {"tiered-l2/own", LegacyBackend::TieredL2Only, false},
+      {"tiered-l2/donor", LegacyBackend::TieredL2Only, true},
+  };
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  auto Input = W.allSlotsInput(3);
+  auto M = workloads::makeMachine(W.Registry, W.App, Input);
+  ASSERT_TRUE(M.ok());
+  const uint64_t OwnKey =
+      computeLookupKey(ModuleKey::compute(M->image().Modules.front()),
+                       dbi::engineVersionHash(), noToolHash());
+  const uint64_t DonorKey = OwnKey ^ 0x5a5a5a5aull;
+
+  PersistOptions NoWriteBack;
+  NoWriteBack.WriteBack = false;
+  CacheDatabase EmptyDb(std::make_shared<MemoryStore>());
+  auto NoCache = mustRunPersistent(W, Input, EmptyDb, NoWriteBack);
+  ASSERT_FALSE(NoCache.Prime.CacheFound);
+
+  for (const LegacyCase &C : Cases) {
+    SCOPED_TRACE(C.Label);
+    TempDir Dir;
+    // Holder is the store the v1 image lives in (the L2 of a tiered
+    // store); CheckDir is the directory database checkDatabase scans
+    // (none for the memory backend).
+    std::shared_ptr<CacheStore> Holder, Backend;
+    std::string CheckDir;
+    switch (C.Backend) {
+    case LegacyBackend::Directory:
+      CheckDir = Dir.path();
+      Holder = Backend = std::make_shared<DirectoryStore>(CheckDir);
+      break;
+    case LegacyBackend::Memory:
+      Holder = Backend = std::make_shared<MemoryStore>();
+      break;
+    case LegacyBackend::TieredL2Only:
+      CheckDir = Dir.path() + "/l2";
+      Holder = std::make_shared<DirectoryStore>(CheckDir);
+      Backend = std::make_shared<TieredStore>(
+          std::make_shared<DirectoryStore>(Dir.path() + "/l1"), Holder);
+      break;
+    }
+    const uint64_t Key = C.Donor ? DonorKey : OwnKey;
+    const std::string Ref = Holder->refFor(Key);
+    auto plant = [&] {
+      if (auto *Mem = dynamic_cast<MemoryStore *>(Holder.get()))
+        ASSERT_TRUE(Mem->putBytes(Ref, legacyV1Image()).ok());
+      else
+        ASSERT_TRUE(writeFileAtomic(Ref, legacyV1Image()).ok());
+    };
+    plant();
+
+    CacheDatabase Db(Backend);
+    PersistOptions Opts;
+    if (C.Donor) {
+      Opts.InterApplication = true;
+      Opts.ExplicitCachePath = Backend->refFor(DonorKey);
+    }
+    auto Run = mustRunPersistent(W, Input, Db, Opts);
+    EXPECT_FALSE(Run.Prime.CacheFound);
+    EXPECT_NE(Run.Prime.RejectReason.find("legacy (v1) cache file"),
+              std::string::npos)
+        << Run.Prime.RejectReason;
+    EXPECT_TRUE(Run.Run.observablyEquals(NoCache.Run));
+    EXPECT_EQ(Run.Stats.TracesCompiled, NoCache.Stats.TracesCompiled);
+
+    // The write-back left a valid v2 file in the app's slot (over the
+    // v1 file itself in the own-slot cases).
+    auto Slot = Holder->openKey(OwnKey, CacheFileView::Depth::Index);
+    ASSERT_TRUE(Slot.ok()) << Slot.status().toString();
+    EXPECT_EQ(Slot->View.formatVersion(), v2::Version);
+    EXPECT_EQ(Slot->View.generation(), 1u);
+    EXPECT_GT(Slot->View.numTraces(), 0u);
+
+    if (CheckDir.empty())
+      continue; // checkDatabase scans directory databases only.
+    plant(); // The own-slot write-back replaced it.
+    DbCheckOptions Repair;
+    Repair.Repair = true;
+    auto Report = checkDatabase(CheckDir, Repair);
+    ASSERT_TRUE(Report.ok()) << Report.status().toString();
+    EXPECT_EQ(Report->FilesQuarantined, 1u);
+    ASSERT_EQ(Report->Quarantine.size(), 1u);
+    EXPECT_EQ(Report->Quarantine[0].Name, Ref.substr(CheckDir.size() + 1));
+    EXPECT_EQ(Report->Quarantine[0].Code,
+              QuarantineReasonCode::VersionMismatch);
+    EXPECT_FALSE(fileExists(Ref));
   }
 }
 
-TEST(FormatMigration, V1PrimesIdenticallyToV2) {
-  TinyWorkload W = makeTinyWorkload(6, 3);
-  auto Input = W.allSlotsInput(4);
+TEST(FormatMigration, V1RewrittenAsV2AtFinalize) {
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  auto Input = W.allSlotsInput(3);
   TempDir Dir;
   CacheDatabase Db(Dir.path());
   auto Cold = mustRunPersistent(W, Input, Db);
@@ -276,59 +365,26 @@ TEST(FormatMigration, V1PrimesIdenticallyToV2) {
   ASSERT_TRUE(Files.ok());
   ASSERT_EQ(Files->size(), 1u);
   std::string Path = Dir.path() + "/" + (*Files)[0];
-  ASSERT_TRUE(isV2CacheFile(Path));
+  ASSERT_TRUE(writeFileAtomic(Path, legacyV1Image()).ok());
+  ASSERT_FALSE(Db.loadPath(Path).ok());
 
-  PersistOptions ReadOnly;
-  ReadOnly.WriteBack = false;
-  auto WarmV2 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Downgrade the same cache to the legacy format in place.
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok()) << AsFile.status().toString();
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-  auto WarmV1 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Both formats prime the exact same trace set and restore the same
-  // links; the runs are observably identical.
-  EXPECT_TRUE(WarmV1.Prime.CacheFound);
-  EXPECT_TRUE(WarmV2.Prime.CacheFound);
-  EXPECT_EQ(WarmV1.Prime.TracesInstalled, WarmV2.Prime.TracesInstalled);
-  EXPECT_EQ(WarmV1.Prime.TracesSkipped, WarmV2.Prime.TracesSkipped);
-  EXPECT_EQ(WarmV1.Prime.ModulesValidated, WarmV2.Prime.ModulesValidated);
-  EXPECT_EQ(WarmV1.Prime.ModulesInvalidated,
-            WarmV2.Prime.ModulesInvalidated);
-  EXPECT_EQ(WarmV1.Prime.LinksRestored, WarmV2.Prime.LinksRestored);
-  EXPECT_EQ(WarmV1.Stats.TracesCompiled, WarmV2.Stats.TracesCompiled);
-  EXPECT_TRUE(WarmV1.Run.observablyEquals(WarmV2.Run));
-}
-
-TEST(FormatMigration, V1RewrittenAsV2AtFinalize) {
-  TinyWorkload W = makeTinyWorkload(4, 2);
-  auto Input = W.allSlotsInput(3);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  (void)mustRunPersistent(W, Input, Db);
-
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  ASSERT_EQ(Files->size(), 1u);
-  std::string Path = Dir.path() + "/" + (*Files)[0];
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok());
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-
-  // A default (write-back) warm run consumes the v1 file and rewrites
-  // the slot in the indexed format, with the generation advanced.
-  auto Warm = mustRunPersistent(W, Input, Db);
-  EXPECT_TRUE(Warm.Prime.CacheFound);
-  EXPECT_TRUE(isV2CacheFile(Path));
+  // A default (write-back) run cannot use the v1 file, runs cold, and
+  // its finalize overwrites the slot with a fresh v2 file.
+  auto Upgrade = mustRunPersistent(W, Input, Db);
+  EXPECT_FALSE(Upgrade.Prime.CacheFound);
+  EXPECT_EQ(Upgrade.Stats.TracesCompiled, Cold.Stats.TracesCompiled);
+  EXPECT_TRUE(Upgrade.Run.observablyEquals(Cold.Run));
   auto Upgraded = Db.loadPath(Path);
   ASSERT_TRUE(Upgraded.ok()) << Upgraded.status().toString();
   EXPECT_EQ(Upgraded->SourceFormat, 2u);
-  EXPECT_EQ(Upgraded->Generation, AsFile->Generation + 1);
+  EXPECT_EQ(Upgraded->Generation, 1u);
   EXPECT_TRUE(Upgraded->validate().ok());
+
+  // The rewritten slot primes the next run like any v2 cache.
+  auto Warm = mustRunPersistent(W, Input, Db);
+  EXPECT_TRUE(Warm.Prime.CacheFound);
+  EXPECT_EQ(Warm.Stats.TracesCompiled, 0u);
+  EXPECT_TRUE(Warm.Run.observablyEquals(Cold.Run));
 }
 
 TEST(SameInput, FirstRunGeneratesCache) {

@@ -96,8 +96,8 @@ int main(int Argc, char **Argv) {
           "--clear | --locks | --heat | --gens] [--l2 DIR2] [--jobs N]\n"
           "  --header-only  per-file listing from v2/v3 headers alone:\n"
           "                 each cache costs one 76-byte read regardless\n"
-          "                 of size (legacy v1 files are listed by magic\n"
-          "                 only, without header fields); shows the\n"
+          "                 of size (a file whose header does not open\n"
+          "                 lists the error instead); shows the\n"
           "                 payload mode (xip/mat), payload page count\n"
           "                 and alignment, and each file's open cost in\n"
           "                 the scan column\n"
@@ -164,15 +164,10 @@ int main(int Argc, char **Argv) {
                 std::chrono::steady_clock::now() - Begin)
                 .count());
       };
-      if (!isV2CacheFile(Path)) {
-        Rows[I] = {Name, "v1", "-", "-", "-", "-", "-",
-                   "-",  "-",  "-", "-", "-", ElapsedMicros()};
-        return;
-      }
       auto View =
           CacheFileView::openFile(Path, CacheFileView::Depth::HeaderOnly);
       if (!View) {
-        Rows[I] = {Name, "v2", "corrupt: " + View.status().toString(),
+        Rows[I] = {Name, "-",  "error: " + View.status().toString(),
                    "",   "",   "",
                    "",   "",   "",
                    "",   "",   "",
