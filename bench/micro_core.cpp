@@ -28,6 +28,7 @@
 #include "support/ThreadPool.h"
 #include "workloads/Codegen.h"
 #include "workloads/Fleet.h"
+#include "workloads/Gui.h"
 #include "workloads/Runner.h"
 
 #include <benchmark/benchmark.h>
@@ -524,6 +525,86 @@ void BM_FinalizeBackground(benchmark::State &State) {
                             : "inline publish");
 }
 BENCHMARK(BM_FinalizeBackground)->Arg(0)->Arg(1)->UseManualTime();
+
+/// The GUI-sized fixture of the per-stage persistence benches: Gftp's
+/// startup (about a thousand traces, most of them shared-library code)
+/// persisted once into an in-memory store, so the timed stages measure
+/// host CPU work and never wait on a disk.
+struct GuiStageFixture {
+  workloads::GuiSuite Suite = workloads::buildGuiSuite();
+  std::shared_ptr<persist::MemoryStore> Store =
+      std::make_shared<persist::MemoryStore>();
+  persist::CacheDatabase Db{Store};
+
+  GuiStageFixture() {
+    const workloads::GuiApp &App = app();
+    bench::mustOk(workloads::runPersistent(Suite.Registry, App.App,
+                                           App.StartupInput, Db),
+                  "cold run populating the GUI stage-bench cache");
+  }
+  const workloads::GuiApp &app() const { return Suite.Apps.front(); }
+  vm::Machine machine() {
+    return bench::mustOk(workloads::makeMachine(Suite.Registry, app().App,
+                                                app().StartupInput),
+                         "machine for a GUI stage bench");
+  }
+};
+
+GuiStageFixture &guiStageFixture() {
+  static GuiStageFixture F;
+  return F;
+}
+
+/// The install stage of a warm GUI session: prime() over the fixture's
+/// cache, i.e. the in-memory open plus installView's trace install and
+/// link restore. Machine and engine construction stay outside the timed
+/// region.
+void BM_InstallView(benchmark::State &State) {
+  GuiStageFixture &F = guiStageFixture();
+  persist::PersistOptions ReadOnly;
+  ReadOnly.WriteBack = false;
+  persist::PrimeResult Last;
+  for (auto _ : State) {
+    vm::Machine M = F.machine();
+    dbi::Engine Engine(M, nullptr);
+    persist::PersistentSession Session(F.Db, ReadOnly);
+    auto Start = std::chrono::steady_clock::now();
+    auto Prime = Session.prime(Engine);
+    auto End = std::chrono::steady_clock::now();
+    Last = bench::mustOk(std::move(Prime), "prime for the install bench");
+    benchmark::DoNotOptimize(Engine.cache().traces().data());
+    State.SetIterationTime(
+        std::chrono::duration<double>(End - Start).count());
+  }
+  State.counters["traces_installed"] = Last.TracesInstalled;
+  State.counters["links_restored"] = Last.LinksRestored;
+}
+BENCHMARK(BM_InstallView)->UseManualTime();
+
+/// The write-back stage of a warm GUI session: finalize() after a full
+/// warm run, inline — snapshot, carry-through, layout sort, serialize
+/// and publish into the in-memory store.
+void BM_FinalizeWriteBack(benchmark::State &State) {
+  GuiStageFixture &F = guiStageFixture();
+  for (auto _ : State) {
+    vm::Machine M = F.machine();
+    dbi::Engine Engine(M, nullptr);
+    persist::PersistentSession Session(F.Db);
+    bench::mustOk(Session.prime(Engine), "prime for the write-back bench");
+    benchmark::DoNotOptimize(Engine.run());
+    auto Start = std::chrono::steady_clock::now();
+    Status Finalized = Session.finalize(Engine);
+    auto End = std::chrono::steady_clock::now();
+    if (!Finalized.ok())
+      std::abort();
+    State.SetIterationTime(
+        std::chrono::duration<double>(End - Start).count());
+  }
+  auto Stats = bench::mustOk(F.Store->stats(), "write-back bench stats");
+  State.counters["traces_written"] = static_cast<double>(Stats.Traces);
+  State.counters["bytes_serialized"] = static_cast<double>(Stats.DiskBytes);
+}
+BENCHMARK(BM_FinalizeWriteBack)->UseManualTime();
 
 /// Host-side cost of one cache open through the tiered store. Arg 0 is
 /// an L1 hit, Arg 1 forces a read-through fetch from L2 on every open

@@ -10,6 +10,11 @@
 #   scripts/check.sh --faults        fault-tolerance soak: runs the
 #                                    fault_injection_test and
 #                                    parallel_pipeline_test binaries
+#                                    plus the store slice of pcc_tests
+#                                    (backend contract, tiered and
+#                                    directory-store tests: by-reference
+#                                    publish, copy-on-merge, the shared
+#                                    background finalize file)
 #                                    repeatedly under ASan and then
 #                                    TSan (separate build trees)
 #   scripts/check.sh --tidy          clang-tidy over src/ with the
@@ -86,12 +91,14 @@ if [ "${1:-}" = "--faults" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target fault_injection_test \
-      --target parallel_pipeline_test
+      --target parallel_pipeline_test --target pcc_tests
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== fault soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/fault_injection_test"
       "$SOAK/tests/parallel_pipeline_test"
+      "$SOAK/tests/pcc_tests" \
+        --gtest_filter='Backends/CacheStoreTest.*:TieredStoreTest.*:DirectoryStore*'
       I=$((I + 1))
     done
   done

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -174,6 +175,14 @@ public:
   uint32_t optGen() const { return OptGen; }
   void setOptGen(uint32_t Gen) { OptGen = Gen; }
 
+  /// CRC32 of this trace's pool bytes, known when materialization
+  /// verified the persisted payload and left the bytes as stored (no
+  /// rebase); pool bytes are never rewritten after that, so finalize
+  /// can write the image back without reading it again. Unset for
+  /// compiled and rebased traces.
+  std::optional<uint32_t> verifiedCodeCrc() const { return VerifiedCrc; }
+  void setVerifiedCodeCrc(uint32_t Crc) { VerifiedCrc = Crc; }
+
   /// Bytes of supporting data structures this trace consumes in the data
   /// pool: trace descriptor, exit records, translation-map node, and
   /// per-instruction bookkeeping (liveness, register bindings). The
@@ -199,6 +208,7 @@ private:
   uint64_t ExecCount = 0;
   uint32_t PersistedHeat = 0;
   uint32_t OptGen = 0;
+  std::optional<uint32_t> VerifiedCrc;
 };
 
 /// The code cache: pools, translation map, and link bookkeeping.

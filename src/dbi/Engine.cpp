@@ -109,6 +109,7 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
       if (!Verdict.ok())
         return Verdict;
     }
+    T->setVerifiedCodeCrc(P->ExpectedCodeCrc);
     T->clearPersistedPayload();
     T->materializeBorrowed(InPlace);
     chargePersistFirstTouch(T);
@@ -150,11 +151,15 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
     return Status::error(ErrorCode::InvalidFormat,
                          "persisted trace payload checksum mismatch");
   // finalize() harvests code from the pool, so the pool copy is rebased
-  // even when a worker already rebased the decoded body.
+  // even when a worker already rebased the decoded body. Unrebased, the
+  // pool bytes are exactly the bytes just verified (a worker checks the
+  // view's stored copy of them), so their CRC is kept for write-back.
   if (P->RebaseDelta != 0)
     rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
                           T->poolBytes(), T->guestInstCount(),
                           P->RelocMask, P->RebaseDelta);
+  else
+    T->setVerifiedCodeCrc(P->ExpectedCodeCrc);
   T->clearPersistedPayload();
   std::vector<Instruction> Decoded;
   if (Ready) {

@@ -10,8 +10,8 @@ using namespace pcc::dbi;
 void TraceInstallQueue::addJob(std::vector<uint32_t> Starts, JobFn Fn) {
   std::unique_lock<std::mutex> Lock(Mutex);
   for (uint32_t Start : Starts) {
-    assert(!ByStart.count(Start) && "duplicate payload job");
-    ByStart.emplace(Start, Jobs.size());
+    assert(!JobOfStart.count(Start) && "duplicate payload job");
+    JobOfStart.emplace(Start, Jobs.size());
   }
   Jobs.push_back(Job{std::move(Fn), JobState::Unclaimed, {}});
 }
@@ -60,8 +60,8 @@ std::vector<ReadyTrace> TraceInstallQueue::drainReady() {
 
 std::vector<ReadyTrace> TraceInstallQueue::takeFor(uint32_t GuestStart) {
   std::unique_lock<std::mutex> Lock(Mutex);
-  auto It = ByStart.find(GuestStart);
-  if (It == ByStart.end())
+  auto It = JobOfStart.find(GuestStart);
+  if (It == JobOfStart.end())
     return {};
   Job &J = Jobs[It->second];
   switch (J.State) {

@@ -150,7 +150,7 @@ private:
   mutable std::mutex Mutex;
   std::condition_variable Advanced; ///< Signalled on publish.
   std::vector<Job> Jobs;
-  std::unordered_map<uint32_t, size_t> ByStart;
+  std::unordered_map<uint32_t, size_t> JobOfStart; ///< Start -> Jobs index.
   size_t NextScan = 0;  ///< Claim cursor (everything before is taken).
   size_t InFlight = 0;  ///< Jobs in state Claimed.
   ScheduleStats Sched;  ///< Guarded by Mutex.

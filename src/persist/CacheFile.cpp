@@ -4,10 +4,13 @@
 
 #include "dbi/Compiler.h"
 #include "persist/CacheView.h"
+#include "support/ByteStream.h"
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <unordered_set>
 
 using namespace pcc;
@@ -23,13 +26,6 @@ uint32_t CacheFile::maxOptGen() const {
   for (const TraceRecord &Trace : Traces)
     Max = std::max(Max, Trace.OptGen);
   return Max;
-}
-
-bool CacheFile::hasCerts() const {
-  for (const TraceRecord &Trace : Traces)
-    if (!Trace.Cert.empty())
-      return true;
-  return false;
 }
 
 uint64_t CacheFile::codeBytes() const {
@@ -59,83 +55,84 @@ size_t alignUp(size_t N, size_t Align) {
   return (N + Align - 1) / Align * Align;
 }
 
-/// Bytes the trailing certificate section adds (0 when no trace is
-/// certified and the section is omitted entirely).
-size_t certSectionBytes(const std::vector<TraceRecord> &Traces,
-                        bool HasCerts) {
-  if (!HasCerts)
-    return 0;
-  size_t BlobBytes = 0;
-  for (const TraceRecord &Trace : Traces)
-    BlobBytes += Trace.Cert.size();
-  return v2::CertSectHeaderBytes +
-         Traces.size() * v2::CertDirEntryBytes + BlobBytes;
+/// Section sizes and offsets of one serialized file, computed in one
+/// pass over the traces and shared by serializedSize() and serialize(),
+/// so the charged size and the written bytes cannot disagree.
+struct FileLayout {
+  /// Promoted files (any trace with OptGen > 0) use the wide index-entry
+  /// layout and announce it in the flags byte; unpromoted files keep
+  /// the 40-byte entries so their bytes are identical to pre-OptGen
+  /// output.
+  bool HasOptGen = false;
+  /// Certified files (any trace with a certificate blob) gain a
+  /// trailing certificate section past the payload and announce it in
+  /// the flags byte; uncertified files omit it so their bytes are
+  /// identical to pre-certificate output.
+  bool HasCerts = false;
+  size_t EntryBytes = 0;
+  size_t ModuleTableSize = 0;
+  size_t IndexSize = 0; ///< Index entries + metadata heap.
+  size_t PayloadBytes = 0;
+  size_t CertBlobBytes = 0;
+  uint32_t TraceIndexOffset = 0;
+  uint32_t IndexEnd = 0;
+  uint32_t PayloadOffset = 0;
+  size_t TotalSize = 0;
+};
+
+FileLayout layoutOf(const CacheFile &File) {
+  FileLayout L;
+  for (const ModuleKey &Key : File.Modules)
+    L.ModuleTableSize += moduleKeyBytes(Key);
+  size_t HeapSize = 0;
+  for (const TraceRecord &Trace : File.Traces) {
+    HeapSize += Trace.Exits.size() * v2::ExitRecordBytes +
+                Trace.RelocMask.size();
+    L.PayloadBytes += Trace.Code.size();
+    L.CertBlobBytes += Trace.Cert.size();
+    L.HasOptGen |= Trace.OptGen > 0;
+    L.HasCerts |= !Trace.Cert.empty();
+  }
+  L.EntryBytes = L.HasOptGen ? v2::OptIndexEntryBytes : v2::IndexEntryBytes;
+  L.IndexSize = File.Traces.size() * L.EntryBytes + HeapSize;
+  L.TraceIndexOffset =
+      static_cast<uint32_t>(v2::HeaderBytes + L.ModuleTableSize);
+  L.IndexEnd = L.TraceIndexOffset + static_cast<uint32_t>(L.IndexSize);
+  // XIP generations page-align the payload so consumers can hand the
+  // mapped region to the engine as executable trace bodies; the gap is
+  // zero padding outside every CRC domain.
+  L.PayloadOffset =
+      File.ExecuteInPlace
+          ? static_cast<uint32_t>(alignUp(L.IndexEnd, v2::PayloadAlign))
+          : L.IndexEnd;
+  L.TotalSize = static_cast<size_t>(L.PayloadOffset) + L.PayloadBytes;
+  if (L.HasCerts)
+    L.TotalSize += v2::CertSectHeaderBytes +
+                   File.Traces.size() * v2::CertDirEntryBytes +
+                   L.CertBlobBytes;
+  return L;
+}
+
+/// Appends \p Size bytes at \p Out and returns the advanced cursor.
+uint8_t *copyBytes(uint8_t *Out, const uint8_t *Data, size_t Size) {
+  if (Size != 0)
+    std::memcpy(Out, Data, Size);
+  return Out + Size;
 }
 
 } // namespace
 
-size_t CacheFile::serializedSize() const {
-  size_t ModuleTableSize = 0;
-  for (const ModuleKey &Key : Modules)
-    ModuleTableSize += moduleKeyBytes(Key);
-  size_t HeapSize = 0;
-  size_t PayloadBytes = 0;
-  for (const TraceRecord &Trace : Traces) {
-    HeapSize += Trace.Exits.size() * v2::ExitRecordBytes +
-                Trace.RelocMask.size();
-    PayloadBytes += Trace.Code.size();
-  }
-  size_t EntryBytes =
-      maxOptGen() > 0 ? v2::OptIndexEntryBytes : v2::IndexEntryBytes;
-  size_t IndexSize = Traces.size() * EntryBytes + HeapSize;
-  size_t PayloadOffset = v2::HeaderBytes + ModuleTableSize + IndexSize;
-  if (ExecuteInPlace)
-    PayloadOffset = alignUp(PayloadOffset, v2::PayloadAlign);
-  return PayloadOffset + PayloadBytes +
-         certSectionBytes(Traces, hasCerts());
-}
+size_t CacheFile::serializedSize() const { return layoutOf(*this).TotalSize; }
 
 std::vector<uint8_t> CacheFile::serialize() const {
-  // Exact section sizes, so one reserve() covers the whole file.
-  size_t ModuleTableSize = 0;
-  for (const ModuleKey &Key : Modules)
-    ModuleTableSize += moduleKeyBytes(Key);
-  size_t HeapSize = 0;
-  size_t PayloadBytes = 0;
-  for (const TraceRecord &Trace : Traces) {
-    HeapSize += Trace.Exits.size() * v2::ExitRecordBytes +
-                Trace.RelocMask.size();
-    PayloadBytes += Trace.Code.size();
-  }
-  // Promoted files (any trace with OptGen > 0) use the wide index-entry
-  // layout and announce it in the flags byte; unpromoted files keep the
-  // 40-byte entries so their bytes are identical to pre-OptGen output.
-  const bool HasOptGen = maxOptGen() > 0;
-  // Certified files (any trace with a certificate blob) gain a trailing
-  // certificate section past the payload and announce it in the flags
-  // byte; uncertified files omit it so their bytes are identical to
-  // pre-certificate output.
-  const bool HasCerts = hasCerts();
-  const size_t EntryBytes =
-      HasOptGen ? v2::OptIndexEntryBytes : v2::IndexEntryBytes;
-  size_t IndexSize = Traces.size() * EntryBytes + HeapSize;
-  uint32_t ModuleTableOffset = static_cast<uint32_t>(v2::HeaderBytes);
-  uint32_t TraceIndexOffset =
-      ModuleTableOffset + static_cast<uint32_t>(ModuleTableSize);
-  // XIP generations page-align the payload so consumers can hand the
-  // mapped region to the engine as executable trace bodies; the gap is
-  // zero padding outside every CRC domain.
-  uint32_t IndexEnd = TraceIndexOffset + static_cast<uint32_t>(IndexSize);
-  uint32_t PayloadOffset =
-      ExecuteInPlace
-          ? static_cast<uint32_t>(alignUp(IndexEnd, v2::PayloadAlign))
-          : IndexEnd;
-  size_t TotalSize = static_cast<size_t>(PayloadOffset) + PayloadBytes +
-                     certSectionBytes(Traces, HasCerts);
+  const FileLayout L = layoutOf(*this);
 
+  // Header and module table go through ByteWriter (ModuleKey owns its
+  // encoding); the buffer is then grown in place, within the reserved
+  // capacity, to the exact file size, and every later section is
+  // stored directly. Zero-filled growth is also the XIP padding.
   ByteWriter Writer;
-  Writer.reserve(TotalSize);
-
+  Writer.reserve(L.TotalSize);
   Writer.writeU32(v2::Magic);
   Writer.writeU32(ExecuteInPlace ? v2::XipVersion : v2::Version);
   Writer.writeU64(EngineHash);
@@ -144,106 +141,111 @@ std::vector<uint8_t> CacheFile::serialize() const {
   Writer.writeU8(static_cast<uint8_t>(
       (PositionIndependent ? v2::FlagPositionIndependent : 0) |
       (ExecuteInPlace ? v2::FlagExecuteInPlace : 0) |
-      (HasOptGen ? v2::FlagOptGen : 0) |
-      (HasCerts ? v2::FlagCertificates : 0)));
+      (L.HasOptGen ? v2::FlagOptGen : 0) |
+      (L.HasCerts ? v2::FlagCertificates : 0)));
   Writer.writeU16(WriterTag); // Former Reserved0: last-writer pid tag.
   Writer.writeU32(Generation);
   Writer.writeU32(static_cast<uint32_t>(Modules.size()));
   Writer.writeU32(static_cast<uint32_t>(Traces.size()));
-  Writer.writeU32(ModuleTableOffset);
-  Writer.writeU32(static_cast<uint32_t>(ModuleTableSize));
-  Writer.writeU32(TraceIndexOffset);
-  Writer.writeU32(static_cast<uint32_t>(IndexSize));
-  Writer.writeU32(PayloadOffset);
-  Writer.writeU32(static_cast<uint32_t>(PayloadBytes));
-  size_t CrcFieldsAt = Writer.size();
-  Writer.writeU32(0); // ModuleTableCrc, patched below.
-  Writer.writeU32(0); // TraceIndexCrc, patched below.
-  Writer.writeU32(0); // HeaderCrc, patched below.
+  Writer.writeU32(static_cast<uint32_t>(v2::HeaderBytes));
+  Writer.writeU32(static_cast<uint32_t>(L.ModuleTableSize));
+  Writer.writeU32(L.TraceIndexOffset);
+  Writer.writeU32(static_cast<uint32_t>(L.IndexSize));
+  Writer.writeU32(L.PayloadOffset);
+  Writer.writeU32(static_cast<uint32_t>(L.PayloadBytes));
+  const size_t CrcFieldsAt = Writer.size();
+  Writer.writeU32(0); // ModuleTableCrc, stored below.
+  Writer.writeU32(0); // TraceIndexCrc, stored below.
+  Writer.writeU32(0); // HeaderCrc, stored below.
   assert(Writer.size() == v2::HeaderBytes && "v2 header layout drifted");
-
   for (const ModuleKey &Key : Modules)
     Key.serialize(Writer);
-  assert(Writer.size() == TraceIndexOffset && "module table size drifted");
+  assert(Writer.size() == L.TraceIndexOffset && "module table size drifted");
 
-  // Index entries first, then the metadata heap they point into.
-  uint32_t MetaOffset =
-      static_cast<uint32_t>(Traces.size() * EntryBytes);
+  std::vector<uint8_t> Out = Writer.take();
+  Out.resize(L.TotalSize);
+  uint8_t *const Raw = Out.data();
+
+  // One walk writes each trace's index entry, its exits and reloc mask
+  // in the metadata heap after the entries, and its code image in the
+  // payload.
+  uint8_t *Entry = Raw + L.TraceIndexOffset;
+  uint8_t *Heap = Entry + Traces.size() * L.EntryBytes;
+  uint8_t *Payload = Raw + L.PayloadOffset;
+  uint32_t MetaOffset = static_cast<uint32_t>(Traces.size() * L.EntryBytes);
   uint32_t CodeOffset = 0;
   for (const TraceRecord &Trace : Traces) {
-    Writer.writeU32(Trace.GuestStart);
-    Writer.writeU32(Trace.ModuleIndex);
-    Writer.writeU32(Trace.GuestInstCount);
-    Writer.writeU32(CodeOffset);
-    Writer.writeU32(static_cast<uint32_t>(Trace.Code.size()));
-    Writer.writeU32(crc32(Trace.Code.data(), Trace.Code.size()));
-    Writer.writeU32(MetaOffset);
-    Writer.writeU32(static_cast<uint32_t>(Trace.Exits.size()));
-    Writer.writeU32(static_cast<uint32_t>(Trace.RelocMask.size()));
-    Writer.writeU32(Trace.Heat); // Former Reserved word.
-    if (HasOptGen)
-      Writer.writeU32(Trace.OptGen);
-    CodeOffset += static_cast<uint32_t>(Trace.Code.size());
+    const uint32_t CodeSize = static_cast<uint32_t>(Trace.Code.size());
+    const uint32_t Fields[] = {
+        Trace.GuestStart,
+        Trace.ModuleIndex,
+        Trace.GuestInstCount,
+        CodeOffset,
+        CodeSize,
+        Trace.CodeCrc ? *Trace.CodeCrc
+                      : crc32(Trace.Code.data(), Trace.Code.size()),
+        MetaOffset,
+        static_cast<uint32_t>(Trace.Exits.size()),
+        static_cast<uint32_t>(Trace.RelocMask.size()),
+        Trace.Heat, // Former Reserved word.
+        Trace.OptGen, // Present only in the wide layout.
+    };
+    for (size_t F = 0; F != L.EntryBytes / 4; ++F)
+      storeLittleEndian(Entry + 4 * F, Fields[F]);
+    Entry += L.EntryBytes;
+    for (const ExitRecord &Exit : Trace.Exits) {
+      Heap[0] = Exit.Kind;
+      storeLittleEndian(Heap + 1, Exit.InstIndex);
+      storeLittleEndian(Heap + 5, Exit.Target);
+      storeLittleEndian(Heap + 9, Exit.LinkedStart);
+      Heap += v2::ExitRecordBytes;
+    }
+    Heap = copyBytes(Heap, Trace.RelocMask.data(), Trace.RelocMask.size());
+    Payload = copyBytes(Payload, Trace.Code.data(), CodeSize);
+    CodeOffset += CodeSize;
     MetaOffset += static_cast<uint32_t>(
         Trace.Exits.size() * v2::ExitRecordBytes + Trace.RelocMask.size());
   }
-  for (const TraceRecord &Trace : Traces) {
-    for (const ExitRecord &Exit : Trace.Exits) {
-      Writer.writeU8(Exit.Kind);
-      Writer.writeU32(Exit.InstIndex);
-      Writer.writeU32(Exit.Target);
-      Writer.writeU32(Exit.LinkedStart);
-    }
-    Writer.writeBytes(Trace.RelocMask.data(), Trace.RelocMask.size());
-  }
-  assert(Writer.size() == IndexEnd && "trace index size drifted");
-  if (PayloadOffset != IndexEnd) {
-    std::vector<uint8_t> Pad(PayloadOffset - IndexEnd, 0);
-    Writer.writeBytes(Pad.data(), Pad.size());
-  }
-  assert(Writer.size() == PayloadOffset && "payload alignment drifted");
+  assert(Heap == Raw + L.IndexEnd && "trace index size drifted");
+  assert(Payload == Raw + L.PayloadOffset + L.PayloadBytes &&
+         "payload size drifted");
 
-  for (const TraceRecord &Trace : Traces)
-    Writer.writeBytes(Trace.Code.data(), Trace.Code.size());
-
-  if (HasCerts) {
+  if (L.HasCerts) {
     // Trailing certificate section: fixed header, per-trace directory,
     // then the concatenated blobs. Sits entirely past the declared
     // (header-covered) file size; the directory carries its own CRC and
     // each blob its own trailing CRC.
-    size_t BlobBytes = 0;
-    for (const TraceRecord &Trace : Traces)
-      BlobBytes += Trace.Cert.size();
-    Writer.writeU32(v2::CertSectMagic);
-    Writer.writeU32(static_cast<uint32_t>(Traces.size()));
-    Writer.writeU32(static_cast<uint32_t>(BlobBytes));
-    size_t DirCrcAt = Writer.size();
-    Writer.writeU32(0); // DirCrc, patched below.
-    size_t DirAt = Writer.size();
+    uint8_t *Sect = Payload;
+    storeLittleEndian(Sect, v2::CertSectMagic);
+    storeLittleEndian(Sect + 4, static_cast<uint32_t>(Traces.size()));
+    storeLittleEndian(Sect + 8, static_cast<uint32_t>(L.CertBlobBytes));
+    uint8_t *const Dir = Sect + v2::CertSectHeaderBytes;
+    uint8_t *DirEntry = Dir;
+    uint8_t *Blob = Dir + Traces.size() * v2::CertDirEntryBytes;
     uint32_t BlobOffset = 0;
     for (const TraceRecord &Trace : Traces) {
-      Writer.writeU32(Trace.Cert.empty() ? 0 : BlobOffset);
-      Writer.writeU32(static_cast<uint32_t>(Trace.Cert.size()));
-      BlobOffset += static_cast<uint32_t>(Trace.Cert.size());
+      const uint32_t Size = static_cast<uint32_t>(Trace.Cert.size());
+      storeLittleEndian(DirEntry, Trace.Cert.empty() ? 0 : BlobOffset);
+      storeLittleEndian(DirEntry + 4, Size);
+      DirEntry += v2::CertDirEntryBytes;
+      Blob = copyBytes(Blob, Trace.Cert.data(), Size);
+      BlobOffset += Size;
     }
-    Writer.patchU32(DirCrcAt,
-                    crc32(Writer.bytes().data() + DirAt,
-                          Traces.size() * v2::CertDirEntryBytes));
-    for (const TraceRecord &Trace : Traces)
-      Writer.writeBytes(Trace.Cert.data(), Trace.Cert.size());
+    storeLittleEndian(Sect + 12,
+                      crc32(Dir, Traces.size() * v2::CertDirEntryBytes));
+    assert(Blob == Raw + L.TotalSize && "certificate section drifted");
   }
-  assert(Writer.size() == TotalSize && "payload size drifted");
 
-  const uint8_t *Raw = Writer.bytes().data();
-  Writer.patchU32(CrcFieldsAt,
-                  crc32(Raw + ModuleTableOffset, ModuleTableSize));
+  storeLittleEndian(Raw + CrcFieldsAt,
+                    crc32(Raw + v2::HeaderBytes, L.ModuleTableSize));
   // The trace-index CRC domain excludes the alignment padding, so it is
   // identical whether or not the generation is XIP.
-  Writer.patchU32(CrcFieldsAt + 4,
-                  crc32(Raw + TraceIndexOffset, IndexSize));
+  storeLittleEndian(Raw + CrcFieldsAt + 4,
+                    crc32(Raw + L.TraceIndexOffset, L.IndexSize));
   // Header CRC covers everything before itself, section CRCs included.
-  Writer.patchU32(CrcFieldsAt + 8, crc32(Raw, v2::HeaderBytes - 4));
-  return Writer.take();
+  storeLittleEndian(Raw + CrcFieldsAt + 8,
+                    crc32(Raw, v2::HeaderBytes - 4));
+  return Out;
 }
 
 ErrorOr<CacheFile> CacheFile::deserialize(

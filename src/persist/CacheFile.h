@@ -30,6 +30,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,11 @@ struct TraceRecord {
   /// certificate degrades that trace to a full re-prove without
   /// poisoning the rest of the file.
   std::vector<uint8_t> Cert;
+  /// CRC32 of Code when the writer already knows it — finalize() fills
+  /// it from a check already run on these exact bytes — so serialize()
+  /// need not scan the image again. Never serialized or filled by
+  /// deserialize(); whoever edits Code must reset it.
+  std::optional<uint32_t> CodeCrc;
 
   bool relocBit(uint32_t InstIndex) const {
     uint32_t Byte = InstIndex / 8;
@@ -122,11 +128,6 @@ struct CacheFile {
   /// serialize() to the wide (OptGen-bearing) index-entry layout.
   uint32_t maxOptGen() const;
 
-  /// True when any trace carries a validation certificate; switches
-  /// serialize() to append the trailing certificate section (header
-  /// flag bit 3).
-  bool hasCerts() const;
-
   /// Total translated-code bytes (the code half of Figure 9).
   uint64_t codeBytes() const;
   /// Total data-structure bytes (the data half of Figure 9), using the
@@ -134,9 +135,10 @@ struct CacheFile {
   uint64_t dataBytes() const;
 
   /// Serializes in the indexed v2 format (header + module table + trace
-  /// index + payload, with per-section and per-trace CRCs). The output
-  /// buffer is reserved from a computed exact size, so appending never
-  /// reallocates.
+  /// index + payload, with per-section and per-trace CRCs) — the one
+  /// writer of the format. The output buffer is sized exactly up front
+  /// and filled by direct stores; a trace's payload CRC is computed
+  /// unless its CodeCrc already carries it.
   std::vector<uint8_t> serialize() const;
   /// Exact byte size serialize() would produce, without producing it
   /// (cost accounting charges by size before the store serializes).

@@ -82,10 +82,10 @@ CacheFile pcc::persist::mergeCacheFiles(const CacheFile &Winner,
   // against the live image, so where the two caches disagree about a
   // guest start, Novel is fresher.
   std::unordered_set<uint32_t> Claimed;
-  std::unordered_map<uint32_t, size_t> NovelIndexByStart;
+  std::unordered_map<uint32_t, size_t> NovelIndexOfStart;
   for (size_t I = 0; I != Novel.Traces.size(); ++I) {
     Claimed.insert(Novel.Traces[I].GuestStart);
-    NovelIndexByStart.emplace(Novel.Traces[I].GuestStart, I);
+    NovelIndexOfStart.emplace(Novel.Traces[I].GuestStart, I);
   }
 
   std::unordered_map<std::string, uint32_t> NovelByPath;
@@ -122,8 +122,8 @@ CacheFile pcc::persist::mergeCacheFiles(const CacheFile &Winner,
   for (const TraceRecord &Rec : Winner.Traces) {
     if (Rec.ModuleIndex >= Map.size() || Map[Rec.ModuleIndex] < 0)
       continue;
-    auto Dup = NovelIndexByStart.find(Rec.GuestStart);
-    if (Dup != NovelIndexByStart.end()) {
+    auto Dup = NovelIndexOfStart.find(Rec.GuestStart);
+    if (Dup != NovelIndexOfStart.end()) {
       // Both caches carry this start, and the module key matched, so
       // both bodies translate the same guest bytes. Novel is fresher,
       // but a strictly higher optimization generation is

@@ -198,12 +198,13 @@ public:
   /// Transactionally installs \p File under \p LookupKey.
   /// \p BaseGeneration is the generation of the cache the caller primed
   /// from (0 when it started empty). When the slot still holds that
-  /// generation the file is stored as given; when a concurrent writer
-  /// advanced the slot first, the caller's file is merged with the
-  /// winner's (the winner's still-novel traces are re-accumulated into
-  /// the caller's) and the merge is stored at the next generation.
+  /// generation the file is stored as given, never copied; when a
+  /// concurrent writer advanced the slot first, the caller's file is
+  /// merged with the winner's (the winner's still-novel traces are
+  /// re-accumulated into a copy of the caller's) and the merge is
+  /// stored at the next generation.
   virtual ErrorOr<PublishResult> publish(uint64_t LookupKey,
-                                         CacheFile File,
+                                         const CacheFile &File,
                                          uint32_t BaseGeneration) = 0;
 
   /// Removes the cache slot for \p LookupKey if present.

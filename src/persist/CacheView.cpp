@@ -105,27 +105,30 @@ Status CacheFileView::parseSections() {
   const uint8_t *Index = Data + TraceIndexOffset;
   if (crc32(Index, TraceIndexSize) != TraceIndexCrc)
     return formatError("trace index checksum mismatch");
+  // The entries lie inside the index section (parseHeader checked
+  // NumTraces x entry size against its size, and the file size covers
+  // the section), so their fields load without per-read checks.
   const size_t EntryBytes =
       HasOptGen ? v2::OptIndexEntryBytes : v2::IndexEntryBytes;
-  ByteReader IndexReader(Index,
-                         static_cast<size_t>(NumTraces) * EntryBytes);
   Entries.reserve(NumTraces);
   for (uint32_t I = 0; I != NumTraces; ++I) {
+    const uint8_t *Raw = Index + static_cast<size_t>(I) * EntryBytes;
+    auto field = [Raw](size_t K) {
+      return loadLittleEndian<uint32_t>(Raw + 4 * K);
+    };
     TraceIndexEntry E;
-    E.GuestStart = IndexReader.readU32();
-    E.ModuleIndex = IndexReader.readU32();
-    E.GuestInstCount = IndexReader.readU32();
-    E.CodeOffset = IndexReader.readU32();
-    E.CodeSize = IndexReader.readU32();
-    E.CodeCrc = IndexReader.readU32();
-    E.MetaOffset = IndexReader.readU32();
-    E.ExitCount = IndexReader.readU32();
-    E.RelocSize = IndexReader.readU32();
-    E.Heat = IndexReader.readU32(); // Former Reserved word.
+    E.GuestStart = field(0);
+    E.ModuleIndex = field(1);
+    E.GuestInstCount = field(2);
+    E.CodeOffset = field(3);
+    E.CodeSize = field(4);
+    E.CodeCrc = field(5);
+    E.MetaOffset = field(6);
+    E.ExitCount = field(7);
+    E.RelocSize = field(8);
+    E.Heat = field(9); // Former Reserved word.
     if (HasOptGen)
-      E.OptGen = IndexReader.readU32();
-    if (IndexReader.failed())
-      return formatError("truncated trace index");
+      E.OptGen = field(10);
     // Entry bounds: everything an entry points at must land inside its
     // section, so later accessors can index without checks.
     if (E.ModuleIndex >= NumModules)
@@ -251,33 +254,13 @@ ErrorOr<CacheFileView> CacheFileView::openFile(const std::string &Path,
   return View;
 }
 
-std::vector<ExitRecord> CacheFileView::readExits(uint32_t I) const {
-  assert(OpenDepth == Depth::Index && "exits need an index-deep open");
-  const TraceIndexEntry &E = Entries[I];
-  const uint8_t *Meta = Data + TraceIndexOffset + E.MetaOffset;
-  ByteReader Reader(Meta, static_cast<size_t>(E.ExitCount) *
-                              v2::ExitRecordBytes);
-  std::vector<ExitRecord> Exits;
-  Exits.reserve(E.ExitCount);
-  for (uint32_t K = 0; K != E.ExitCount; ++K) {
-    ExitRecord Exit;
-    Exit.Kind = Reader.readU8();
-    Exit.InstIndex = Reader.readU32();
-    Exit.Target = Reader.readU32();
-    Exit.LinkedStart = Reader.readU32();
-    Exits.push_back(Exit);
-  }
-  assert(!Reader.failed() && "exit heap bounds were validated at open");
-  return Exits;
-}
-
-std::vector<uint8_t> CacheFileView::readRelocMask(uint32_t I) const {
+std::span<const uint8_t> CacheFileView::relocMaskOf(uint32_t I) const {
   assert(OpenDepth == Depth::Index && "masks need an index-deep open");
   const TraceIndexEntry &E = Entries[I];
   const uint8_t *Mask = Data + TraceIndexOffset + E.MetaOffset +
                         static_cast<size_t>(E.ExitCount) *
                             v2::ExitRecordBytes;
-  return std::vector<uint8_t>(Mask, Mask + E.RelocSize);
+  return {Mask, E.RelocSize};
 }
 
 const uint8_t *CacheFileView::codeBytesOf(uint32_t I) const {
@@ -315,8 +298,11 @@ ErrorOr<TraceRecord> CacheFileView::record(uint32_t I) const {
   Rec.GuestInstCount = E.GuestInstCount;
   const uint8_t *Code = codeBytesOf(I);
   Rec.Code.assign(Code, Code + E.CodeSize);
-  Rec.Exits = readExits(I);
-  Rec.RelocMask = readRelocMask(I);
+  Rec.Exits.reserve(E.ExitCount);
+  for (uint32_t K = 0; K != E.ExitCount; ++K)
+    Rec.Exits.push_back(exitOf(I, K));
+  const std::span<const uint8_t> Mask = relocMaskOf(I);
+  Rec.RelocMask.assign(Mask.begin(), Mask.end());
   Rec.Heat = E.Heat;
   Rec.OptGen = E.OptGen;
   auto [CertData, CertSize] = certBlobOf(I);

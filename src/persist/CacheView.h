@@ -61,9 +61,12 @@
 #define PCC_PERSIST_CACHEVIEW_H
 
 #include "persist/CacheFile.h"
+#include "support/ByteStream.h"
 #include "support/FileSystem.h"
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -202,10 +205,20 @@ public:
   const std::vector<ModuleKey> &modules() const { return Modules; }
   const TraceIndexEntry &entry(uint32_t I) const { return Entries[I]; }
 
-  /// Decodes trace \p I's exit records from the metadata heap.
-  std::vector<ExitRecord> readExits(uint32_t I) const;
-  /// Copies trace \p I's reloc mask from the metadata heap.
-  std::vector<uint8_t> readRelocMask(uint32_t I) const;
+  /// Decodes exit \p K (< entry(I).ExitCount) of trace \p I straight
+  /// from the metadata heap: no allocation, and no bounds checks beyond
+  /// the ones open() already made on every entry's metadata range.
+  ExitRecord exitOf(uint32_t I, uint32_t K) const {
+    assert(OpenDepth == Depth::Index && "exits need an index-deep open");
+    assert(K < Entries[I].ExitCount && "exit index out of range");
+    const uint8_t *Rec = Data + TraceIndexOffset + Entries[I].MetaOffset +
+                         static_cast<size_t>(K) * v2::ExitRecordBytes;
+    return ExitRecord{Rec[0], loadLittleEndian<uint32_t>(Rec + 1),
+                      loadLittleEndian<uint32_t>(Rec + 5),
+                      loadLittleEndian<uint32_t>(Rec + 9)};
+  }
+  /// Trace \p I's reloc mask, in place in the metadata heap.
+  std::span<const uint8_t> relocMaskOf(uint32_t I) const;
   /// Raw (stored, never rebased) code image of trace \p I.
   const uint8_t *codeBytesOf(uint32_t I) const;
   /// Base of the whole payload section (Depth::Index only). For XIP

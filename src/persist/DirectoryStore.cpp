@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 using namespace pcc;
@@ -157,7 +158,7 @@ ErrorOr<FileLock> DirectoryStore::lockWithRetry(const std::string &Path,
 }
 
 ErrorOr<PublishResult> DirectoryStore::publish(uint64_t LookupKey,
-                                               CacheFile File,
+                                               const CacheFile &File,
                                                uint32_t BaseGeneration) {
   PublishResult Result;
   // Shared on the store lock: publishers of different keys proceed in
@@ -178,19 +179,22 @@ ErrorOr<PublishResult> DirectoryStore::publish(uint64_t LookupKey,
 
   std::string Ref = refFor(LookupKey);
   uint32_t Current = slotGeneration(Ref);
+  std::optional<CacheFile> Merged;
   if (Current != 0 && Current != BaseGeneration) {
     // A concurrent finalizer advanced the slot since the caller primed.
     // Re-read the winner and re-accumulate its novel traces, so both
     // runs' translations survive. An unreadable winner is overwritten.
     auto Winner = loadRef(Ref);
     if (Winner) {
-      File = mergeCacheFiles(*Winner, std::move(File));
-      File.Generation = Current + 1;
+      Merged = mergeCacheFiles(*Winner, File);
+      Merged->Generation = Current + 1;
       Result.Merged = true;
     }
   }
-  Result.Generation = File.Generation;
-  Status S = writeFileAtomic(Ref, File.serialize(), /*SyncToDisk=*/true);
+  const CacheFile &Stored = Merged ? *Merged : File;
+  Result.Generation = Stored.Generation;
+  Status S =
+      writeFileAtomic(Ref, Stored.serialize(), /*SyncToDisk=*/true);
   if (!S.ok())
     return S;
   return Result;

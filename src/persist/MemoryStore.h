@@ -49,7 +49,7 @@ public:
   /// in-memory counterpart of writing a raw file into a directory store
   /// (fixtures holding damaged or retired-format images).
   Status putBytes(const std::string &Ref, std::vector<uint8_t> Bytes);
-  ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
+  ErrorOr<PublishResult> publish(uint64_t LookupKey, const CacheFile &File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;
   Status clear() override;

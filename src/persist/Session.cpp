@@ -337,7 +337,7 @@ PersistentSession::validatePayload(const CacheFileView &View,
   }
   R.Body = Body.take();
   if (JD.RebaseDelta != 0) {
-    const std::vector<uint8_t> Mask = View.readRelocMask(JD.TraceIndex);
+    const std::span<const uint8_t> Mask = View.relocMaskOf(JD.TraceIndex);
     for (uint32_t I = 0; I != E.GuestInstCount; ++I)
       if (Mask.size() > I / 8 && (Mask[I / 8] >> (I % 8)) & 1)
         R.Body[I].Imm = static_cast<uint32_t>(
@@ -457,17 +457,17 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     if (ModuleValidated[I] && Delta[I] != 0)
       Xip = false;
 
-  // One pass over the index builds the installs. Exits and links come
-  // from the trace index, whose CRC was already validated at open — so
-  // restoring links is safe even though the code payload is still
-  // unverified.
+  // One pass over the index picks the usable entries. Exits and links
+  // are decoded straight from the trace index — whose CRC was already
+  // validated at open, so restoring links is safe even though the code
+  // payload is still unverified — once into each trace's exit vector
+  // and once more when restoring links; no per-trace staging copies.
   struct PendingInstall {
     uint32_t Start = 0; ///< Rebased guest start.
     uint32_t TraceIndex = 0;
     uint32_t PoolOffset = 0;
     int64_t RebaseDelta = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
+    TranslatedTrace *Added = nullptr; ///< Null when the data pool filled.
   };
   std::vector<PendingInstall> Installs;
   std::unordered_set<uint32_t> SeenStarts;
@@ -498,38 +498,16 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     bool Usable = NewStart >= RegionBase &&
                   NewStart - RegionBase < RegionSize &&
                   E.CodeSize >= MinCodeBytes && !SeenStarts.count(NewStart);
+    for (uint32_t K = 0; Usable && K != E.ExitCount; ++K)
+      Usable = View.exitOf(TraceI, K).Kind <=
+               static_cast<uint8_t>(ExitKind::Halt);
     if (!Usable) {
-      skip();
-      continue;
-    }
-
-    PendingInstall Install;
-    Install.Start = NewStart;
-    Install.TraceIndex = TraceI;
-    Install.RebaseDelta = D;
-    bool BadExit = false;
-    for (const ExitRecord &Exit : View.readExits(TraceI)) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt)) {
-        BadExit = true;
-        break;
-      }
-      uint32_t Target =
-          Exit.Target ? static_cast<uint32_t>(Exit.Target + D) : 0;
-      uint32_t Linked =
-          Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
-                           : 0;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Linked);
-    }
-    if (BadExit) {
       skip();
       continue;
     }
     SeenStarts.insert(NewStart);
     PoolBytes += E.CodeSize;
-    Installs.push_back(std::move(Install));
+    Installs.push_back(PendingInstall{NewStart, TraceI, 0, D, nullptr});
   }
 
   if (Xip) {
@@ -571,28 +549,36 @@ Status PersistentSession::installView(dbi::Engine &Engine,
   const bool AsyncPrime = !Xip && Opts.Pool &&
                           Opts.Pool->workerCount() > 0 &&
                           !Opts.EagerValidate;
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
   Cache.reserveTraces(Installs.size());
   if (AsyncPrime)
     AsyncJobs.reserve(Installs.size());
   for (PendingInstall &Install : Installs) {
     const TraceIndexEntry &E = View.entry(Install.TraceIndex);
+    std::vector<dbi::TraceExit> Exits;
+    Exits.reserve(E.ExitCount);
+    for (uint32_t K = 0; K != E.ExitCount; ++K) {
+      const ExitRecord X = View.exitOf(Install.TraceIndex, K);
+      Exits.push_back(dbi::TraceExit{
+          static_cast<ExitKind>(X.Kind), X.InstIndex,
+          X.Target ? static_cast<uint32_t>(X.Target + Install.RebaseDelta)
+                   : 0,
+          nullptr});
+    }
     auto Payload = std::make_unique<dbi::PersistedPayload>();
     Payload->ExpectedCodeCrc = E.CodeCrc;
     Payload->RebaseDelta = Install.RebaseDelta;
     // Also kept under XIP, which never rebases: finalize() re-emits an
     // unexecuted trace's reloc mask with the record it carries forward.
-    if (Opts.PositionIndependent)
-      Payload->RelocMask = View.readRelocMask(Install.TraceIndex);
+    if (Opts.PositionIndependent) {
+      const std::span<const uint8_t> Mask =
+          View.relocMaskOf(Install.TraceIndex);
+      Payload->RelocMask.assign(Mask.begin(), Mask.end());
+    }
     Payload->SourceTraceIndex = Install.TraceIndex;
     Payload->Xip = Xip;
     auto T = std::make_unique<TranslatedTrace>(
         Install.Start, E.GuestInstCount, Install.PoolOffset, E.CodeSize,
-        std::move(Install.Exits), /*FromPersistentCache=*/true);
+        std::move(Exits), /*FromPersistentCache=*/true);
     T->setPersistedPayload(std::move(Payload));
     T->setPersistedHeat(E.Heat);
     T->setOptGen(E.OptGen);
@@ -603,6 +589,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       ++Result.TracesSkipped;
       continue;
     }
+    Install.Added = *Added;
     if (Opts.CheckCertificates && E.OptGen > 0) {
       // A certificate binds to the exact stored body bytes, so a rebase
       // invalidates it: the promoted trace is then re-proved in full at
@@ -616,26 +603,31 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     if (AsyncPrime)
       AsyncJobs.push_back(AsyncPayloadJob{
           Install.Start, Install.TraceIndex, Install.RebaseDelta});
-    ByStart.emplace(Install.Start, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
 
-  // Restore persisted trace links between installed traces.
+  // Restore persisted trace links between installed traces. The cache
+  // was empty before this install, so its translation map holds exactly
+  // the traces added above.
   if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
+    for (const PendingInstall &Install : Installs) {
+      if (!Install.Added)
+        continue;
+      for (uint32_t K = 0; K != Install.Added->exits().size(); ++K) {
+        const uint32_t Linked =
+            View.exitOf(Install.TraceIndex, K).LinkedStart;
+        if (Linked == 0)
           continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
+        const uint32_t Target =
+            static_cast<uint32_t>(Linked + Install.RebaseDelta);
+        const dbi::TraceExit &Exit = Install.Added->exits()[K];
         if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
           continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
+        TranslatedTrace *To = Cache.lookup(Target);
+        if (!To)
           continue;
-        Cache.link(T, I, It->second);
+        Cache.link(Install.Added, K, To);
         ++Result.LinksRestored;
       }
     }
@@ -711,6 +703,7 @@ bool promoteRecord(TraceRecord &Rec,
   std::vector<uint8_t> Encoded = isa::encodeAll(Body);
   std::copy(Encoded.begin(), Encoded.end(),
             Rec.Code.begin() + dbi::TracePrologueBytes);
+  Rec.CodeCrc.reset();
   if (Pic)
     for (uint32_t I = 0; I != Body.size(); ++I)
       if (!sameInst(Body[I], Original[I]))
@@ -871,7 +864,8 @@ PublishOutcome publishWithBreaker(CacheStore &Store,
                                   const std::string &StoreAsPath,
                                   uint64_t LookupKey,
                                   uint32_t BaseGeneration,
-                                  uint32_t Attempts, CacheFile File) {
+                                  uint32_t Attempts,
+                                  const CacheFile &File) {
   PublishOutcome Out;
   for (uint32_t Attempt = 0; Attempt != Attempts; ++Attempt) {
     if (Attempt != 0)
@@ -914,7 +908,11 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   const loader::LoadedImage &Image = Engine.machine().image();
   const dbi::CodeCache &Cache = Engine.cache();
 
-  CacheFile File;
+  // The snapshot is built in place in a shared file: a background
+  // finalize hands this same object to the pool worker, which promotes
+  // and publishes it without another copy.
+  auto FilePtr = std::make_shared<CacheFile>();
+  CacheFile &File = *FilePtr;
   File.EngineHash = EngineHash;
   File.ToolHash = ToolHash;
   File.SpecBits = specBitsOf(Engine.spec());
@@ -1054,6 +1052,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     Rec.OptGen = T->optGen();
     const uint8_t *Code = Cache.codeAt(T->poolOffset());
     Rec.Code.assign(Code, Code + T->poolBytes());
+    Rec.CodeCrc = T->verifiedCodeCrc();
+    Rec.Exits.reserve(T->exits().size());
     for (const dbi::TraceExit &Exit : T->exits())
       Rec.Exits.push_back(ExitRecord{
           static_cast<uint8_t>(Exit.Kind), Exit.InstIndex, Exit.Target,
@@ -1067,7 +1067,11 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
       // the written copy so the file's bytes match the current base.
       if (crc32(Rec.Code.data(), Rec.Code.size()) != P->ExpectedCodeCrc)
         continue;
-      if (P->RebaseDelta != 0)
+      // The CRC just verified is the written image's CRC unless the
+      // rebase below changes the bytes; serialize() then reuses it.
+      if (P->RebaseDelta == 0)
+        Rec.CodeCrc = P->ExpectedCodeCrc;
+      else
         dbi::rebaseTranslatedImage(Rec.Code.data(), Rec.Code.size(),
                                    Rec.GuestInstCount, P->RelocMask,
                                    P->RebaseDelta);
@@ -1083,21 +1087,19 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     if (Opts.PositionIndependent) {
       // Mark every address-bearing immediate: branch/call targets plus
       // the module's own text relocations (address materialization).
-      auto Body =
-          T->isMaterialized()
-              ? ErrorOr<std::vector<isa::Instruction>>(
-                    std::vector<isa::Instruction>(T->body().begin(),
-                                                  T->body().end()))
-              : isa::decodeAll(Code + dbi::TracePrologueBytes,
-                               T->guestInstCount());
-      if (!Body)
-        return Body.status();
+      // Only persisted traces are ever unmaterialized, and each carries
+      // a PersistedPayload (Engine::ensureMaterialized relies on it;
+      // a failed materialization drops the trace), so the branch above
+      // took every trace without a decoded body.
+      assert(T->isMaterialized() &&
+             "resident trace without a payload must be materialized");
+      const std::span<const isa::Instruction> Body = T->body();
       const LoadedModule &Mod = Image.Modules[ModIndex];
       uint32_t FirstIndex =
           (T->guestStart() - Mod.Base) / isa::InstructionSize;
-      for (uint32_t I = 0; I != Body->size(); ++I) {
+      for (uint32_t I = 0; I != Body.size(); ++I) {
         bool NeedsReloc =
-            isa::hasCodeTarget((*Body)[I].Op) ||
+            isa::hasCodeTarget(Body[I].Op) ||
             RelocSets[ModIndex].count(FirstIndex + I);
         if (NeedsReloc)
           Rec.setRelocBit(I);
@@ -1109,101 +1111,125 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     File.Traces.push_back(std::move(Rec));
   }
 
+  // Guest starts written so far: the resident snapshot, then carried
+  // records. Filters the accumulation carry-through and, complete, the
+  // link clearing below.
+  const CacheFileView *Prior = LoadedView.get();
+  std::unordered_set<uint32_t> Starts;
+  Starts.reserve(File.Traces.size() + (Prior ? Prior->numTraces() : 0));
+  for (const TraceRecord &Rec : File.Traces)
+    Starts.insert(Rec.GuestStart);
+
   // Prior-cache carry-through reads records from the primed view;
   // record extraction CRC-checks the payload, and a failure drops only
-  // that trace.
-  const CacheFileView *Prior = LoadedView.get();
-  // Accumulation carry-through, part 1: traces of *validated* modules
-  // that are no longer resident in the engine cache — dropped by a
-  // mid-run flush or skipped at install when a pool filled. The paper
-  // writes the persistent cache "whenever the intra-execution code
-  // cache becomes full" for exactly this reason; merging here keeps
-  // accumulation monotone under cache pressure. Only applies to this
-  // application's own cache, and only when the module's base is
-  // unchanged (always true for validated non-PIC modules; PIC reuse at
-  // a new base would require rebasing the stale records, so those are
-  // left to retranslation instead).
+  // that trace. Only applies to this application's own cache; donor
+  // caches are never modified or absorbed wholesale. Each prior module
+  // takes at most one of two routes, decided per module first so one
+  // walk of the prior index serves both:
+  //
+  //  1. Traces of *validated* modules that are no longer resident —
+  //     dropped by a mid-run flush or skipped at install when a pool
+  //     filled. The paper writes the persistent cache "whenever the
+  //     intra-execution code cache becomes full" for exactly this
+  //     reason; merging here keeps accumulation monotone under cache
+  //     pressure. Only when the module's base is unchanged (always true
+  //     for validated non-PIC modules; PIC reuse at a new base would
+  //     require rebasing the stale records, so those are left to
+  //     retranslation instead).
+  //  2. Still-valid traces of modules that simply were not loaded by
+  //     this run, so the cache's coverage only grows over time
+  //     (Section 4.4) — unless the module's mapping overlaps one
+  //     already in the file.
+  //
+  // Either way a record whose guest start is already written is not
+  // carried, so the file never holds two traces for one start.
   if (Opts.Accumulate && LoadedWasOwn && Prior) {
-    std::unordered_set<uint32_t> Written;
-    for (const TraceRecord &Rec : File.Traces)
-      Written.insert(Rec.GuestStart);
-    std::unordered_map<std::string, uint32_t> IndexByPath;
-    for (size_t I = 0; I != File.Modules.size(); ++I)
-      IndexByPath.emplace(File.Modules[I].Path,
-                          static_cast<uint32_t>(I));
+    constexpr uint32_t NotCarried = ~0u;
+    std::vector<uint32_t> CarryTo(Prior->numModules(), NotCarried);
     for (uint32_t I = 0; I != Prior->numModules(); ++I) {
-      if (!ModuleLoadedNow[I] || !ModuleValidated[I])
-        continue;
       const ModuleKey &Old = Prior->modules()[I];
-      auto It = IndexByPath.find(Old.Path);
-      if (It == IndexByPath.end() ||
-          File.Modules[It->second].Base != Old.Base)
-        continue;
-      for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
-        const TraceIndexEntry &E = Prior->entry(J);
-        if (E.ModuleIndex != I || Written.count(E.GuestStart))
+      if (ModuleLoadedNow[I]) {
+        if (!ModuleValidated[I])
           continue;
-        auto Copy = Prior->record(J);
-        if (!Copy)
-          continue; // Corrupt prior payload: dropped from carry-through.
-        Copy->ModuleIndex = It->second;
-        Written.insert(Copy->GuestStart);
-        File.Traces.push_back(Copy.take());
-      }
-    }
-  }
-
-  // Accumulation carry-through, part 2: keep still-valid traces of
-  // modules that simply were not loaded by this run, so the cache's
-  // coverage only grows over time (Section 4.4). Only applies to this
-  // application's own cache; donor caches are never modified or
-  // absorbed wholesale.
-  if (Opts.Accumulate && LoadedWasOwn && Prior) {
-    for (uint32_t I = 0; I != Prior->numModules(); ++I) {
-      if (ModuleLoadedNow[I])
+        for (size_t M = 0; M != Image.Modules.size(); ++M)
+          if (File.Modules[M].Path == Old.Path) {
+            if (File.Modules[M].Base == Old.Base)
+              CarryTo[I] = static_cast<uint32_t>(M);
+            break;
+          }
         continue;
-      const ModuleKey &Old = Prior->modules()[I];
+      }
       bool Collides = false;
       for (const ModuleKey &Current : File.Modules)
         Collides |= regionsOverlap(Old.Base, Old.Size, Current.Base,
                                    Current.Size);
       if (Collides)
         continue;
-      uint32_t NewIndex = static_cast<uint32_t>(File.Modules.size());
+      CarryTo[I] = static_cast<uint32_t>(File.Modules.size());
       File.Modules.push_back(Old);
-      for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
-        if (Prior->entry(J).ModuleIndex != I)
-          continue;
-        auto Copy = Prior->record(J);
-        if (!Copy)
-          continue; // Corrupt prior payload: dropped from carry-through.
-        Copy->ModuleIndex = NewIndex;
-        File.Traces.push_back(Copy.take());
-      }
+    }
+    for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
+      const TraceIndexEntry &E = Prior->entry(J);
+      if (CarryTo[E.ModuleIndex] == NotCarried || Starts.count(E.GuestStart))
+        continue;
+      auto Copy = Prior->record(J);
+      if (!Copy)
+        continue; // Corrupt prior payload: dropped from carry-through.
+      Copy->ModuleIndex = CarryTo[E.ModuleIndex];
+      // record() just verified the stored image against this CRC.
+      Copy->CodeCrc = E.CodeCrc;
+      Starts.insert(Copy->GuestStart);
+      File.Traces.push_back(Copy.take());
     }
   }
 
   // Clear links whose targets did not make it into this file (e.g. a
   // link into a trace the engine recompiled differently): readers treat
   // LinkedStart == 0 as "unlinked", and validate() requires closure.
-  std::unordered_set<uint32_t> AllStarts;
-  for (const TraceRecord &Rec : File.Traces)
-    AllStarts.insert(Rec.GuestStart);
   for (TraceRecord &Rec : File.Traces)
     for (ExitRecord &Exit : Rec.Exits)
-      if (Exit.LinkedStart != 0 && !AllStarts.count(Exit.LinkedStart))
+      if (Exit.LinkedStart != 0 && !Starts.count(Exit.LinkedStart))
         Exit.LinkedStart = 0;
 
   // Heat-ordered layout: hottest traces first in the trace index and
   // payload, so a later run's demand paging touches the fewest payload
   // pages before its hot code is resident. Correctness is order-
-  // independent — records address each other by guest start.
-  std::stable_sort(File.Traces.begin(), File.Traces.end(),
-                   [](const TraceRecord &A, const TraceRecord &B) {
-                     if (A.Heat != B.Heat)
-                       return A.Heat > B.Heat;
-                     return A.GuestStart < B.GuestStart;
-                   });
+  // independent — records address each other by guest start. The sort
+  // runs over compact keys (the index breaks ties, so the order is the
+  // stable one); the records are then permuted in place, cycle by
+  // cycle, so each moves once and no second record array is built.
+  struct LayoutKey {
+    uint32_t Heat;
+    uint32_t GuestStart;
+    uint32_t Index;
+  };
+  std::vector<LayoutKey> Layout;
+  Layout.reserve(File.Traces.size());
+  for (uint32_t I = 0; I != File.Traces.size(); ++I)
+    Layout.push_back(
+        LayoutKey{File.Traces[I].Heat, File.Traces[I].GuestStart, I});
+  std::sort(Layout.begin(), Layout.end(),
+            [](const LayoutKey &A, const LayoutKey &B) {
+              if (A.Heat != B.Heat)
+                return A.Heat > B.Heat;
+              if (A.GuestStart != B.GuestStart)
+                return A.GuestStart < B.GuestStart;
+              return A.Index < B.Index;
+            });
+  for (uint32_t I = 0; I != Layout.size(); ++I) {
+    if (Layout[I].Index == I)
+      continue; // In place, or already placed by an earlier cycle.
+    TraceRecord Displaced = std::move(File.Traces[I]);
+    uint32_t J = I;
+    while (Layout[J].Index != I) {
+      const uint32_t Source = Layout[J].Index;
+      File.Traces[J] = std::move(File.Traces[Source]);
+      Layout[J].Index = J;
+      J = Source;
+    }
+    File.Traces[J] = std::move(Displaced);
+    Layout[J].Index = J;
+  }
 
   // Optimization tier: snapshot guest source for the hot candidates
   // now — the address space is only guaranteed alive on this thread —
@@ -1251,22 +1277,24 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     Fin = std::make_shared<FinalizeState>();
     auto FinPtr = Fin;
     std::shared_ptr<CacheStore> StorePtr = Db.backend();
-    auto FilePtr = std::make_shared<CacheFile>(std::move(File));
     Opts.Pool->submit([FinPtr, StorePtr, FilePtr,
                        Sources = std::move(OptSources),
                        MaxGen = Opts.OptMaxGen,
                        MaxSb = Opts.OptMaxSuperblockInsts,
                        EmitCerts = Opts.EmitCertificates,
                        StoreAsPath = Opts.StoreAsPath,
-                       Key = LookupKey, BaseGeneration, Attempts] {
+                       Key = LookupKey, BaseGeneration,
+                       Attempts]() mutable {
       OptOutcome Opt;
       if (!Sources.empty())
         promoteCacheFile(*FilePtr, Sources, MaxGen, MaxSb, EmitCerts,
                          Opt);
       PublishOutcome Out =
           publishWithBreaker(*StorePtr, StoreAsPath, Key,
-                             BaseGeneration, Attempts,
-                             std::move(*FilePtr));
+                             BaseGeneration, Attempts, *FilePtr);
+      // Free the snapshot before signalling, so its teardown is part of
+      // the work wait() waits for rather than spilling past it.
+      FilePtr.reset();
       {
         std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
         FinPtr->Succeeded = Out.Succeeded;
@@ -1298,7 +1326,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
 
   PublishOutcome Out =
       publishWithBreaker(Store, Opts.StoreAsPath, LookupKey,
-                         BaseGeneration, Attempts, std::move(File));
+                         BaseGeneration, Attempts, File);
   Stats.PersistStoreRetries += Out.StoreRetries;
   Stats.PersistStoreFailures += Out.StoreFailures;
   if (Out.Succeeded)

@@ -127,7 +127,7 @@ public:
   ErrorOr<CacheFile> loadRef(const std::string &Ref) override;
   Status put(uint64_t LookupKey, const CacheFile &File) override;
   Status putRef(const std::string &Ref, const CacheFile &File) override;
-  ErrorOr<PublishResult> publish(uint64_t LookupKey, CacheFile File,
+  ErrorOr<PublishResult> publish(uint64_t LookupKey, const CacheFile &File,
                                  uint32_t BaseGeneration) override;
   Status retire(uint64_t LookupKey) override;
   Status clear() override;

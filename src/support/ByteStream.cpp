@@ -6,11 +6,6 @@
 
 using namespace pcc;
 
-void ByteWriter::writeLittleEndian(uint64_t Value, unsigned NumBytes) {
-  for (unsigned I = 0; I != NumBytes; ++I)
-    Bytes.push_back(static_cast<uint8_t>(Value >> (8 * I)));
-}
-
 void ByteWriter::writeString(const std::string &Str) {
   assert(Str.size() <= UINT32_MAX && "string too long to serialize");
   writeU32(static_cast<uint32_t>(Str.size()));
@@ -35,8 +30,7 @@ void ByteWriter::writeBlob(const std::vector<uint8_t> &Blob) {
 
 void ByteWriter::patchU32(size_t Offset, uint32_t Value) {
   assert(Offset + 4 <= Bytes.size() && "patch offset out of range");
-  for (unsigned I = 0; I != 4; ++I)
-    Bytes[Offset + I] = static_cast<uint8_t>(Value >> (8 * I));
+  storeLittleEndian(Bytes.data() + Offset, Value);
 }
 
 bool ByteReader::checkAvailable(size_t Count) {

@@ -19,17 +19,38 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace pcc {
+
+/// Stores \p Value little-endian at \p Out. Unchecked: for serializers
+/// that fill an exactly presized buffer, and for back-patching
+/// (ByteWriter is the growable writer). Compiles to one store on
+/// little-endian hosts.
+template <typename T> inline void storeLittleEndian(uint8_t *Out, T Value) {
+  static_assert(std::is_unsigned_v<T>, "unsigned fixed-width values only");
+  for (size_t I = 0; I != sizeof(T); ++I)
+    Out[I] = static_cast<uint8_t>(Value >> (8 * I));
+}
+
+/// Loads a little-endian value from \p In. Unchecked: the caller has
+/// already bounds-checked the bytes (ByteReader is the checked reader).
+template <typename T> inline T loadLittleEndian(const uint8_t *In) {
+  static_assert(std::is_unsigned_v<T>, "unsigned fixed-width values only");
+  T Value = 0;
+  for (size_t I = 0; I != sizeof(T); ++I)
+    Value = static_cast<T>(Value | static_cast<T>(In[I]) << (8 * I));
+  return Value;
+}
 
 /// Appends little-endian encoded values to a growable byte buffer.
 class ByteWriter {
 public:
   void writeU8(uint8_t Value) { Bytes.push_back(Value); }
-  void writeU16(uint16_t Value) { writeLittleEndian(Value, 2); }
-  void writeU32(uint32_t Value) { writeLittleEndian(Value, 4); }
-  void writeU64(uint64_t Value) { writeLittleEndian(Value, 8); }
+  void writeU16(uint16_t Value) { writeLittleEndian(Value); }
+  void writeU32(uint32_t Value) { writeLittleEndian(Value); }
+  void writeU64(uint64_t Value) { writeLittleEndian(Value); }
   void writeI64(int64_t Value) {
     writeU64(static_cast<uint64_t>(Value));
   }
@@ -56,7 +77,10 @@ public:
   std::vector<uint8_t> take() { return std::move(Bytes); }
 
 private:
-  void writeLittleEndian(uint64_t Value, unsigned NumBytes);
+  template <typename T> void writeLittleEndian(T Value) {
+    for (size_t I = 0; I != sizeof(T); ++I)
+      Bytes.push_back(static_cast<uint8_t>(Value >> (8 * I)));
+  }
 
   std::vector<uint8_t> Bytes;
 };

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dbi/Compiler.h"
 #include "persist/CacheDatabase.h"
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
@@ -174,6 +175,110 @@ TEST(CacheFileFormat, SizeAccounting) {
   EXPECT_EQ(File.dataBytes(), traceDataBytes(2, 4));
   // Data structures outweigh code for typical short traces (Figure 9).
   EXPECT_GT(File.dataBytes(), File.codeBytes());
+}
+
+//===----------------------------------------------------------------------===//
+// Serializer byte pins: fixed CacheFiles covering every layout variant
+// serialize() emits. The size and whole-image CRC of each are constants
+// of the on-disk format, so a writer rewrite must reproduce them.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+enum class PinLayout { PlainV2, OptGenWide, Certificates, XipV3, PicMasks };
+
+CacheFile pinnedFixture(PinLayout Layout) {
+  CacheFile File;
+  File.EngineHash = 0x1122334455667788ull;
+  File.ToolHash = 0x99aabbccddeeff00ull;
+  File.SpecBits = 1;
+  File.Generation = 3;
+  File.WriterTag = 0xbeef;
+  File.PositionIndependent =
+      Layout == PinLayout::XipV3 || Layout == PinLayout::PicMasks;
+  File.ExecuteInPlace = Layout == PinLayout::XipV3;
+  for (uint32_t M = 0; M != 2; ++M) {
+    ModuleKey Key;
+    Key.Path = M ? "/lib/libpin.so" : "/bin/pin";
+    Key.Base = 0x400000 + M * 0x100000;
+    Key.Size = 0x8000;
+    Key.HeaderHash = 11 + M;
+    Key.ModTime = 22 + M;
+    Key.FullHash = 33 + M;
+    Key.PicHash = 44 + M;
+    File.Modules.push_back(Key);
+  }
+  const uint32_t NumTraces = 5;
+  auto startOf = [&](uint32_t T) {
+    return File.Modules[T % 2].Base + 0x40 * T;
+  };
+  for (uint32_t T = 0; T != NumTraces; ++T) {
+    TraceRecord Rec;
+    Rec.ModuleIndex = T % 2;
+    Rec.GuestStart = startOf(T);
+    Rec.GuestInstCount = 3 + T;
+    Rec.Code.resize(dbi::TracePrologueBytes +
+                    Rec.GuestInstCount * isa::InstructionSize +
+                    2 * dbi::ExitStubBytes);
+    for (size_t B = 0; B != Rec.Code.size(); ++B)
+      Rec.Code[B] = static_cast<uint8_t>(B * 7 + T * 13);
+    const uint32_t Next = startOf((T + 1) % NumTraces);
+    Rec.Exits.push_back(
+        ExitRecord{static_cast<uint8_t>(dbi::ExitKind::Branch), 1, Next,
+                   T % 2 ? Next : 0});
+    Rec.Exits.push_back(
+        ExitRecord{static_cast<uint8_t>(dbi::ExitKind::FallThrough),
+                   Rec.GuestInstCount - 1,
+                   Rec.GuestStart + Rec.GuestInstCount * isa::InstructionSize,
+                   0});
+    Rec.Heat = 100 - T;
+    if (Layout == PinLayout::OptGenWide && T == 2)
+      Rec.OptGen = 2;
+    if (Layout == PinLayout::Certificates && T % 2 == 1)
+      Rec.Cert.assign(24 + T, static_cast<uint8_t>(0xc0 + T));
+    if (File.PositionIndependent) {
+      Rec.setRelocBit(0);
+      Rec.setRelocBit(Rec.GuestInstCount - 1);
+    }
+    File.Traces.push_back(std::move(Rec));
+  }
+  return File;
+}
+
+struct SerializerPin {
+  const char *Label;
+  PinLayout Layout;
+  size_t Size;
+  uint32_t Crc;
+};
+
+const SerializerPin SerializerPins[] = {
+    {"plain v2", PinLayout::PlainV2, 956, 2791784314u},
+    {"OptGen wide entries", PinLayout::OptGenWide, 976, 2138423878u},
+    {"certificate section", PinLayout::Certificates, 1064, 2186821175u},
+    {"XIP v3 padding", PinLayout::XipV3, 4536, 3458085025u},
+    {"PIC reloc masks", PinLayout::PicMasks, 961, 1587164697u},
+};
+
+} // namespace
+
+TEST(CacheFileFormat, SerializerBytesPinned) {
+  for (const SerializerPin &Pin : SerializerPins) {
+    SCOPED_TRACE(Pin.Label);
+    const CacheFile File = pinnedFixture(Pin.Layout);
+    const std::vector<uint8_t> Bytes = File.serialize();
+    EXPECT_EQ(Bytes.size(), Pin.Size);
+    EXPECT_EQ(File.serializedSize(), Pin.Size);
+    EXPECT_EQ(crc32(Bytes.data(), Bytes.size()), Pin.Crc);
+    auto Back = CacheFile::deserialize(Bytes);
+    ASSERT_TRUE(Back.ok()) << Back.status().toString();
+    EXPECT_EQ(Back->serialize(), Bytes);
+    // Known payload CRCs are used as given, and give the same bytes.
+    CacheFile Known = File;
+    for (TraceRecord &Rec : Known.Traces)
+      Rec.CodeCrc = crc32(Rec.Code.data(), Rec.Code.size());
+    EXPECT_EQ(Known.serialize(), Bytes);
+  }
 }
 
 TEST(Database, StoreLoadRemove) {
@@ -434,9 +539,58 @@ TEST(SameInput, PersistedLinksRestored) {
   auto Input = W.allSlotsInput(5);
   mustRunPersistent(W, Input, Db);
   auto Warm = mustRunPersistent(W, Input, Db);
-  EXPECT_GT(Warm.Prime.LinksRestored, 0u);
+  // Exact counts of the same-base prime: every trace installs and every
+  // persisted link whose target installed is restored.
+  EXPECT_EQ(Warm.Prime.TracesInstalled, 35u);
+  EXPECT_EQ(Warm.Prime.TracesSkipped, 0u);
+  EXPECT_EQ(Warm.Prime.LinksRestored, 34u);
   // No dispatcher work for already-linked paths ⇒ fewer new links.
   EXPECT_EQ(Warm.Stats.LinksCreated, 0u);
+}
+
+TEST(SameInput, InvalidExitKindSkipsOnlyThatTrace) {
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  auto Input = W.allSlotsInput(5);
+  auto Cold = mustRunPersistent(W, Input, Db);
+
+  // Give the first index entry's first exit an out-of-range kind, then
+  // re-seal the trace-index and header CRCs: the file still opens, so
+  // only the install's exit check can reject the trace.
+  auto Files = listDirectory(Dir.path());
+  ASSERT_TRUE(Files.ok());
+  ASSERT_EQ(Files->size(), 1u);
+  std::string Path = Dir.path() + "/" + (*Files)[0];
+  auto Bytes = readFile(Path);
+  ASSERT_TRUE(Bytes.ok());
+  auto U32At = [&](size_t Off) {
+    ByteReader Reader(Bytes->data() + Off, 4);
+    return Reader.readU32();
+  };
+  auto PutU32 = [&](size_t Off, uint32_t Value) {
+    for (unsigned I = 0; I != 4; ++I)
+      (*Bytes)[Off + I] = static_cast<uint8_t>(Value >> (8 * I));
+  };
+  const uint32_t IndexOffset = U32At(48);
+  const uint32_t IndexSize = U32At(52);
+  ASSERT_GT(U32At(36), 0u);               // NumTraces.
+  ASSERT_GT(U32At(IndexOffset + 28), 0u); // Entry 0's ExitCount.
+  (*Bytes)[IndexOffset + U32At(IndexOffset + 24)] = 0xee;
+  PutU32(68, crc32(Bytes->data() + IndexOffset, IndexSize));
+  PutU32(72, crc32(Bytes->data(), v2::HeaderBytes - 4));
+  ASSERT_TRUE(CacheFileView::open(*Bytes).ok());
+  ASSERT_TRUE(writeFileAtomic(Path, *Bytes).ok());
+
+  PersistOptions ReadOnly;
+  ReadOnly.WriteBack = false;
+  auto Warm = mustRunPersistent(W, Input, Db, ReadOnly);
+  EXPECT_TRUE(Warm.Prime.CacheFound);
+  EXPECT_EQ(Warm.Prime.TracesInstalled, 34u);
+  EXPECT_EQ(Warm.Prime.TracesSkipped, 1u);
+  EXPECT_EQ(Warm.Prime.LinksRestored, 32u);
+  EXPECT_EQ(Warm.Stats.TracesCompiled, 1u);
+  EXPECT_TRUE(Warm.Run.observablyEquals(Cold.Run));
 }
 
 TEST(SameInput, ResultsIdenticalToNative) {
@@ -607,6 +761,41 @@ TEST(Accumulation, CacheGrowsAcrossInputs) {
       << "accumulated cache must cover A ∪ B";
 }
 
+TEST(Accumulation, WriteBackCrcsMatchTheWrittenBytes) {
+  // finalize() hands serialize() the payload CRCs it already knows —
+  // verified at materialization, at its own check of unexecuted
+  // traces, or by record() for carried ones — and recomputes the rest.
+  // A partial warm run mixes every kind; with PIC at a new base it also
+  // rebases, which must drop the known CRC. Every written CRC must
+  // match its bytes, and the next run must reuse everything.
+  for (bool Pic : {false, true}) {
+    SCOPED_TRACE(Pic ? "PIC, rebased" : "same base");
+    TinyWorkload W = makeTinyWorkload(4, 3);
+    TempDir Dir;
+    CacheDatabase Db(Dir.path());
+    PersistOptions Opts;
+    Opts.PositionIndependent = Pic;
+    const loader::BasePolicy Policy =
+        Pic ? loader::BasePolicy::Randomized : loader::BasePolicy::Fixed;
+    mustRunPersistent(W, W.allSlotsInput(2), Db, Opts, nullptr, Policy, 1);
+    auto Partial = mustRunPersistent(W, W.input({{0, 2}, {4, 2}}), Db, Opts,
+                                     nullptr, Policy, 2);
+    EXPECT_EQ(Partial.Stats.TracesCompiled, 0u);
+
+    auto Files = listDirectory(Dir.path());
+    ASSERT_TRUE(Files.ok());
+    ASSERT_EQ(Files->size(), 1u);
+    auto Written = Db.loadPath(Dir.path() + "/" + (*Files)[0]);
+    ASSERT_TRUE(Written.ok()) << Written.status().toString();
+    EXPECT_TRUE(Written->validate().ok());
+
+    auto Warm = mustRunPersistent(W, W.allSlotsInput(2), Db, Opts, nullptr,
+                                  Policy, 2);
+    EXPECT_EQ(Warm.Stats.TracesCompiled, 0u);
+    EXPECT_EQ(Warm.Stats.TracesDroppedCorrupt, 0u);
+  }
+}
+
 TEST(Accumulation, GenerationCounterAdvances) {
   TinyWorkload W = makeTinyWorkload(2, 0);
   TempDir Dir;
@@ -733,8 +922,12 @@ TEST(InterApp, LibraryTranslationsSharedAcrossPrograms) {
   auto RB = workloads::runPersistent(Registry, AppB, Input, Db, Inter);
   ASSERT_TRUE(RB.ok());
   EXPECT_TRUE(RB->Prime.CacheFound);
-  EXPECT_GT(RB->Prime.TracesInstalled, 0u);   // Library traces.
-  EXPECT_GT(RB->Prime.TracesSkipped, 0u);     // Donor app traces.
+  // Exact counts of the donor prime: the library traces install, the
+  // donor's application traces are skipped, and only links between
+  // installed library traces are restored.
+  EXPECT_EQ(RB->Prime.TracesInstalled, 28u);
+  EXPECT_EQ(RB->Prime.TracesSkipped, 10u);
+  EXPECT_EQ(RB->Prime.LinksRestored, 25u);
   EXPECT_GT(RB->Stats.TracesCompiled, 0u);    // B's own code.
   // And correctness holds.
   auto Native = workloads::runNative(Registry, AppB, Input);
@@ -756,6 +949,11 @@ TEST(Pic, RelocatedLibraryReusedWithPositionIndependentTranslations) {
                                 loader::BasePolicy::Randomized, 2);
   EXPECT_TRUE(Warm.Prime.CacheFound);
   EXPECT_EQ(Warm.Prime.ModulesInvalidated, 0u);
+  // Exact counts of the PIC-rebased prime: rebasing keeps every trace
+  // and every link.
+  EXPECT_EQ(Warm.Prime.TracesInstalled, 30u);
+  EXPECT_EQ(Warm.Prime.TracesSkipped, 0u);
+  EXPECT_EQ(Warm.Prime.LinksRestored, 29u);
   EXPECT_EQ(Warm.Stats.TracesCompiled, 0u)
       << "PIC translations must survive relocation";
   EXPECT_TRUE(Cold.Run.observablyEquals(Warm.Run));
