@@ -70,9 +70,9 @@
 #
 # Extra arguments after the mode are forwarded to ctest, e.g.
 #   scripts/check.sh --tsan -R CacheStore
-# In --faults, --xip, --replay and --opt modes the first extra argument
-# is the number of soak iterations per sanitizer (default 5, 2 for
-# --xip, --replay and --opt); in --fleet
+# In --faults, --xip, --replay, --opt and --certs modes the first extra
+# argument is the number of soak iterations per sanitizer (default 5, 2
+# for --xip, --replay, --opt and --certs); in --fleet
 # mode it is the simulated machine count (default 96) and the rest goes
 # to pcc-fleetsim.
 set -eu
@@ -83,50 +83,160 @@ BUILD="$ROOT/build"
 # sanitizer legs configure their own trees without it.
 EXTRA_CMAKE="-DCMAKE_CXX_FLAGS=-Werror"
 
-if [ "${1:-}" = "--faults" ]; then
-  shift
-  ITERS="${1:-5}"
-  [ $# -gt 0 ] && shift
+# Sanitizer soak scaffold shared by the --faults, --xip, --replay, --opt
+# and --certs legs: under ASan and then TSan, configure build-$SAN,
+# build the leg's targets, run the leg's iteration function ITERS times
+# and then its post function (if any) once. Both functions see $SOAK
+# (the sanitizer build tree) and $SAN.
+#   soak LABEL ITERS "TARGETS" ITERATION_FN [POST_FN]
+soak() {
+  LABEL=$1
+  ITERS=$2
+  TARGETS=$3
+  ITERATION_FN=$4
+  POST_FN=${5:-}
   for SAN in address thread; do
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
-    cmake --build "$SOAK" -j --target fault_injection_test \
-      --target parallel_pipeline_test --target pcc_tests
+    # shellcheck disable=SC2086  # TARGETS is intentionally word-split.
+    cmake --build "$SOAK" -j --target $TARGETS
     I=1
     while [ "$I" -le "$ITERS" ]; do
-      echo "== fault soak ($SAN) iteration $I/$ITERS =="
-      "$SOAK/tests/fault_injection_test"
-      "$SOAK/tests/parallel_pipeline_test"
-      "$SOAK/tests/pcc_tests" \
-        --gtest_filter='Backends/CacheStoreTest.*:TieredStoreTest.*:DirectoryStore*'
+      echo "== $LABEL soak ($SAN) iteration $I/$ITERS =="
+      "$ITERATION_FN"
       I=$((I + 1))
     done
+    if [ -n "$POST_FN" ]; then
+      "$POST_FN"
+    fi
   done
-  echo "fault soak passed: $ITERS iteration(s) each under ASan and TSan"
+  echo "$LABEL soak passed: $ITERS iteration(s) each under ASan and TSan"
   exit 0
-fi
+}
 
-if [ "${1:-}" = "--xip" ]; then
-  shift
-  ITERS="${1:-2}"
-  [ $# -gt 0 ] && shift
-  for SAN in address thread; do
-    SOAK="$ROOT/build-$SAN"
-    cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
-    cmake --build "$SOAK" -j --target xip_test \
-      --target fault_injection_test --target shared_desktop
-    I=1
-    while [ "$I" -le "$ITERS" ]; do
-      echo "== xip soak ($SAN) iteration $I/$ITERS =="
-      "$SOAK/tests/xip_test"
-      "$SOAK/tests/fault_injection_test"
-      "$SOAK/examples/shared_desktop"
-      I=$((I + 1))
-    done
+faults_iteration() {
+  "$SOAK/tests/fault_injection_test"
+  "$SOAK/tests/parallel_pipeline_test"
+  "$SOAK/tests/pcc_tests" \
+    --gtest_filter='Backends/CacheStoreTest.*:TieredStoreTest.*:DirectoryStore*'
+}
+
+xip_iteration() {
+  "$SOAK/tests/xip_test"
+  "$SOAK/tests/fault_injection_test"
+  "$SOAK/examples/shared_desktop"
+}
+
+replay_iteration() {
+  "$SOAK/tests/replay_test"
+}
+
+# Tool-level round trip over a faulty tiered store. The TSan pass
+# records on four pipeline workers and then replays the same log
+# synchronously and on sixteen workers: any worker count must
+# reproduce the recording bit for bit.
+replay_post() {
+  REC_JOBS=0
+  [ "$SAN" = thread ] && REC_JOBS=4
+  TMP=$(mktemp -d)
+  "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
+  for LOG in cold warm; do
+    "$SOAK/tools/pccrun" --mode persist --db "$TMP/l1" \
+      --l2 "$TMP/l2" --jobs "$REC_JOBS" \
+      --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" \
+      --record "$TMP/$LOG.pcrr" "$TMP/fib.mod"
   done
-  echo "xip soak passed: $ITERS iteration(s) each under ASan and TSan"
-  exit 0
-fi
+  "$SOAK/tools/pccrun" --replay "$TMP/cold.pcrr" --jobs 0
+  "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 0
+  "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 16
+  "$SOAK/tools/pccrun" --replay-diff "$TMP/warm.pcrr"
+  rm -rf "$TMP"
+}
+
+opt_iteration() {
+  "$SOAK/tests/opt_tier_test"
+}
+
+opt_post() {
+  TMP=$(mktemp -d)
+  "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
+  # Fault-injected finalize promotion over a tiered store: the
+  # promotion pass runs behind a publish that keeps failing and
+  # retrying; the session must degrade gracefully, never crash.
+  for RUN in 1 2; do
+    "$SOAK/tools/pccrun" --mode persist --db "$TMP/l1" \
+      --l2 "$TMP/l2" --opt-tier --stats \
+      --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" "$TMP/fib.mod"
+  done
+  # Concurrent finalizers merging different generations: gen-0
+  # sessions race promoting sessions on the same database key; the
+  # merge must keep the highest proven generation per trace and the
+  # offline deep check must re-prove every promoted body.
+  PIDS=""
+  for J in 1 2 3 4; do
+    if [ $((J % 2)) -eq 0 ]; then
+      "$SOAK/tools/pccrun" --mode persist --db "$TMP/shared" \
+        --opt-tier "$TMP/fib.mod" >/dev/null &
+    else
+      "$SOAK/tools/pccrun" --mode persist --db "$TMP/shared" \
+        "$TMP/fib.mod" >/dev/null &
+    fi
+    PIDS="$PIDS $!"
+  done
+  for P in $PIDS; do wait "$P"; done
+  "$SOAK/tools/pcc-dbstat" "$TMP/shared" --gens
+  "$SOAK/tools/pcc-dbcheck" "$TMP/shared" --deep \
+    --module "$TMP/fib.mod"
+  rm -rf "$TMP"
+}
+
+certs_iteration() {
+  "$SOAK/tests/cert_test"
+}
+
+# Fault-injected certificate writes: grow a certified store while
+# publishes keep failing and retrying, then hold whatever survived to
+# the full proof contract — plain dbcheck replays every persisted
+# certificate self-contained, --deep re-binds each one to the real
+# module text (and re-proves anything certificateless).
+certs_post() {
+  TMP=$(mktemp -d)
+  "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
+  for RUN in 1 2 3; do
+    "$SOAK/tools/pccrun" --mode persist --db "$TMP/db" --opt-tier \
+      --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" "$TMP/fib.mod"
+  done
+  "$SOAK/tools/pcc-dbstat" "$TMP/db" --gens
+  "$SOAK/tools/pcc-dbcheck" "$TMP/db"
+  "$SOAK/tools/pcc-dbcheck" "$TMP/db" --deep --module "$TMP/fib.mod"
+  rm -rf "$TMP"
+}
+
+case "${1:-}" in
+--faults)
+  soak fault "${2:-5}" \
+    "fault_injection_test parallel_pipeline_test pcc_tests" \
+    faults_iteration
+  ;;
+--xip)
+  soak xip "${2:-2}" "xip_test fault_injection_test shared_desktop" \
+    xip_iteration
+  ;;
+--replay)
+  soak replay "${2:-2}" "replay_test pccrun pcc-asm" replay_iteration \
+    replay_post
+  ;;
+--opt)
+  soak opt-tier "${2:-2}" \
+    "opt_tier_test pccrun pcc-asm pcc-dbstat pcc-dbcheck" opt_iteration \
+    opt_post
+  ;;
+--certs)
+  soak certificate "${2:-2}" \
+    "cert_test pccrun pcc-asm pcc-dbcheck pcc-dbstat" certs_iteration \
+    certs_post
+  ;;
+esac
 
 if [ "${1:-}" = "--fleet" ]; then
   shift
@@ -139,130 +249,6 @@ if [ "${1:-}" = "--fleet" ]; then
   "$SOAK/tools/pcc-fleetsim" --machines "$MACHINES" --rounds 3 --verify "$@"
   "$SOAK/tests/pcc_tests" --gtest_filter='*Tiered*:Backends/*'
   echo "fleet smoke passed: $MACHINES machines, tiered suite clean"
-  exit 0
-fi
-
-if [ "${1:-}" = "--replay" ]; then
-  shift
-  ITERS="${1:-2}"
-  [ $# -gt 0 ] && shift
-  for SAN in address thread; do
-    SOAK="$ROOT/build-$SAN"
-    cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
-    cmake --build "$SOAK" -j --target replay_test --target pccrun \
-      --target pcc-asm
-    I=1
-    while [ "$I" -le "$ITERS" ]; do
-      echo "== replay soak ($SAN) iteration $I/$ITERS =="
-      "$SOAK/tests/replay_test"
-      I=$((I + 1))
-    done
-    # Tool-level round trip over a faulty tiered store. The TSan pass
-    # records on four pipeline workers and then replays the same log
-    # synchronously and on sixteen workers: any worker count must
-    # reproduce the recording bit for bit.
-    REC_JOBS=0
-    [ "$SAN" = thread ] && REC_JOBS=4
-    TMP=$(mktemp -d)
-    "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
-    for LOG in cold warm; do
-      "$SOAK/tools/pccrun" --mode persist --db "$TMP/l1" \
-        --l2 "$TMP/l2" --jobs "$REC_JOBS" \
-        --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" \
-        --record "$TMP/$LOG.pcrr" "$TMP/fib.mod"
-    done
-    "$SOAK/tools/pccrun" --replay "$TMP/cold.pcrr" --jobs 0
-    "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 0
-    "$SOAK/tools/pccrun" --replay "$TMP/warm.pcrr" --jobs 16
-    "$SOAK/tools/pccrun" --replay-diff "$TMP/warm.pcrr"
-    rm -rf "$TMP"
-  done
-  echo "replay soak passed: $ITERS iteration(s) each under ASan and TSan"
-  exit 0
-fi
-
-if [ "${1:-}" = "--opt" ]; then
-  shift
-  ITERS="${1:-2}"
-  [ $# -gt 0 ] && shift
-  for SAN in address thread; do
-    SOAK="$ROOT/build-$SAN"
-    cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
-    cmake --build "$SOAK" -j --target opt_tier_test --target pccrun \
-      --target pcc-asm --target pcc-dbstat --target pcc-dbcheck
-    I=1
-    while [ "$I" -le "$ITERS" ]; do
-      echo "== opt-tier soak ($SAN) iteration $I/$ITERS =="
-      "$SOAK/tests/opt_tier_test"
-      I=$((I + 1))
-    done
-    TMP=$(mktemp -d)
-    "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
-    # Fault-injected finalize promotion over a tiered store: the
-    # promotion pass runs behind a publish that keeps failing and
-    # retrying; the session must degrade gracefully, never crash.
-    for I in 1 2; do
-      "$SOAK/tools/pccrun" --mode persist --db "$TMP/l1" \
-        --l2 "$TMP/l2" --opt-tier --stats \
-        --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" "$TMP/fib.mod"
-    done
-    # Concurrent finalizers merging different generations: gen-0
-    # sessions race promoting sessions on the same database key; the
-    # merge must keep the highest proven generation per trace and the
-    # offline deep check must re-prove every promoted body.
-    PIDS=""
-    for J in 1 2 3 4; do
-      if [ $((J % 2)) -eq 0 ]; then
-        "$SOAK/tools/pccrun" --mode persist --db "$TMP/shared" \
-          --opt-tier "$TMP/fib.mod" >/dev/null &
-      else
-        "$SOAK/tools/pccrun" --mode persist --db "$TMP/shared" \
-          "$TMP/fib.mod" >/dev/null &
-      fi
-      PIDS="$PIDS $!"
-    done
-    for P in $PIDS; do wait "$P"; done
-    "$SOAK/tools/pcc-dbstat" "$TMP/shared" --gens
-    "$SOAK/tools/pcc-dbcheck" "$TMP/shared" --deep \
-      --module "$TMP/fib.mod"
-    rm -rf "$TMP"
-  done
-  echo "opt-tier soak passed: $ITERS iteration(s) each under ASan and TSan"
-  exit 0
-fi
-
-if [ "${1:-}" = "--certs" ]; then
-  shift
-  ITERS="${1:-2}"
-  [ $# -gt 0 ] && shift
-  for SAN in address thread; do
-    SOAK="$ROOT/build-$SAN"
-    cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
-    cmake --build "$SOAK" -j --target cert_test --target pccrun \
-      --target pcc-asm --target pcc-dbcheck --target pcc-dbstat
-    I=1
-    while [ "$I" -le "$ITERS" ]; do
-      echo "== certificate soak ($SAN) iteration $I/$ITERS =="
-      "$SOAK/tests/cert_test"
-      I=$((I + 1))
-    done
-    # Fault-injected certificate writes: grow a certified store while
-    # publishes keep failing and retrying, then hold whatever survived
-    # to the full proof contract — plain dbcheck replays every
-    # persisted certificate self-contained, --deep re-binds each one
-    # to the real module text (and re-proves anything certificateless).
-    TMP=$(mktemp -d)
-    "$SOAK/tools/pcc-asm" "$ROOT/examples/asm/fib.s" -o "$TMP/fib.mod"
-    for I in 1 2 3; do
-      "$SOAK/tools/pccrun" --mode persist --db "$TMP/db" --opt-tier \
-        --fault-plan "enospc:0.1,fsync:0.1,lock:0.25" "$TMP/fib.mod"
-    done
-    "$SOAK/tools/pcc-dbstat" "$TMP/db" --gens
-    "$SOAK/tools/pcc-dbcheck" "$TMP/db"
-    "$SOAK/tools/pcc-dbcheck" "$TMP/db" --deep --module "$TMP/fib.mod"
-    rm -rf "$TMP"
-  done
-  echo "certificate soak passed: $ITERS iteration(s) each under ASan and TSan"
   exit 0
 fi
 

@@ -2,15 +2,13 @@
 
 #include "persist/DbCheck.h"
 
-#include "analysis/CertChecker.h"
 #include "analysis/Certificate.h"
-#include "analysis/Validator.h"
 #include "binary/Module.h"
-#include "dbi/Compiler.h"
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
 #include "persist/DirectoryStore.h"
 #include "persist/Key.h"
+#include "persist/TraceProof.h"
 #include "support/FileLock.h"
 #include "support/FileSystem.h"
 #include "support/StringUtils.h"
@@ -64,33 +62,15 @@ std::string certSweepFile(CacheFile &File, bool Repair,
     if (Rec.Cert.empty())
       continue;
     ++R.CertsChecked;
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
-    analysis::CertCheckResult C;
-    if (Translated) {
-      // The decoded body came straight from the record's stored
-      // encodings, so bind those bytes and spare the checker a
-      // re-encode.
-      analysis::CertBindings Bind;
-      Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-      Bind.BodyByteCount =
-          static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-      C = analysis::checkCertificateBlob(Rec.Cert.data(),
-                                         Rec.Cert.size(), Rec.GuestStart,
-                                         *Translated, nullptr, &Bind);
-    } else {
-      C.Status = analysis::CertCheckStatus::Malformed;
-      C.Detail = Translated.status().message();
-    }
-    if (C.ok())
+    ProofVerdict V = proveTrace(
+        {.GuestStart = Rec.GuestStart, .Record = &Rec, .Cert = Rec.Cert});
+    if (V.Proved)
       continue;
     ++R.CertsRejected;
     if (FirstReject.empty())
-      FirstReject = formatString(
-          "trace @%08x: certificate rejected (%s%s%s)", Rec.GuestStart,
-          analysis::certCheckStatusName(C.Status),
-          C.Detail.empty() ? "" : ": ", C.Detail.c_str());
+      FirstReject =
+          formatString("trace @%08x: certificate rejected (%s)",
+                       Rec.GuestStart, V.CertDetail.c_str());
     if (Repair)
       Rec.Cert.clear();
   }
@@ -171,61 +151,35 @@ std::string deepCheckFile(CacheFile &File, const DeepContext &Deep,
       Flag("body extends past module text");
       continue;
     }
-    if (Rec.Code.size() < dbi::TracePrologueBytes +
-                              static_cast<size_t>(Rec.GuestInstCount) *
-                                  isa::InstructionSize) {
-      Flag("code image smaller than its instruction count");
-      continue;
-    }
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
-    if (!Translated) {
-      Flag(Translated.status().message());
-      continue;
-    }
     std::vector<isa::Instruction> Source(
         Insts->begin() + First,
         Insts->begin() + First + Rec.GuestInstCount);
-    // Certificate fast path: replay the recorded proof with the
-    // trusted checker, bound to the real module text.
-    bool CertRejected = false;
-    if (!Rec.Cert.empty()) {
-      ++R.CertsChecked;
-      analysis::CertBindings Bind;
-      Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-      Bind.BodyByteCount =
-          static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-      if (analysis::checkCertificateBlob(Rec.Cert.data(),
-                                         Rec.Cert.size(), Rec.GuestStart,
-                                         *Translated, &Source, &Bind)
-              .ok()) {
-        ++R.TracesVerified;
-        if (Rec.OptGen > 0)
-          ++R.TracesPromotedVerified;
-        continue;
-      }
-      ++R.CertsRejected;
-      CertRejected = true;
-    }
     analysis::Certificate Fresh;
     const bool WantFresh = Repair && Rec.OptGen > 0;
-    auto Check = analysis::validateTranslation(
-        Rec.GuestStart, Source, *Translated,
-        WantFresh ? &Fresh : nullptr);
-    if (!Check.Equivalent) {
-      Flag(Check.message());
+    ProofVerdict V = proveTrace({.GuestStart = Rec.GuestStart,
+                                 .Record = &Rec,
+                                 .Source = &Source,
+                                 .Cert = Rec.Cert,
+                                 .CertOut = WantFresh ? &Fresh : nullptr});
+    if (!V.Readable) {
+      Flag(V.ProofDetail);
       continue;
     }
-    if (Rec.OptGen > 0 && (CertRejected || Rec.Cert.empty()))
+    R.CertsChecked += V.CertChecked;
+    R.CertsRejected += V.CertRejected;
+    if (!V.Proved) {
+      Flag(V.ProofDetail);
+      continue;
+    }
+    if (V.ProverRan && Rec.OptGen > 0)
       ++R.CertsReplayedByProver;
-    if (WantFresh && (CertRejected || Rec.Cert.empty())) {
+    if (V.ProverRan && WantFresh) {
       // The prover just vouched for this promoted body against the
       // real source: persist that proof as a fresh certificate.
       Fresh.OptGen = Rec.OptGen;
       Rec.Cert = Fresh.serialize();
       CertsDirty = true;
-    } else if (Repair && CertRejected) {
+    } else if (Repair && V.CertRejected) {
       Rec.Cert.clear();
       CertsDirty = true;
     }

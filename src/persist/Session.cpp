@@ -2,17 +2,19 @@
 
 #include "persist/Session.h"
 
-#include "analysis/CertChecker.h"
 #include "analysis/Certificate.h"
 #include "analysis/Optimizer.h"
 #include "analysis/Validator.h"
 #include "persist/RecordingHooks.h"
+#include "persist/TraceProof.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <iterator>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -46,6 +48,29 @@ findLoadedByPath(const loader::LoadedImage &Image,
 static bool regionsOverlap(uint32_t BaseA, uint32_t SizeA, uint32_t BaseB,
                            uint32_t SizeB) {
   return BaseA < BaseB + SizeB && BaseB < BaseA + SizeA;
+}
+
+/// Whether index entry \p I of \p View can be installed or carried at
+/// guest start \p Start — the per-trace rules of CacheFile::validate():
+/// the start lies inside its module's mapping [\p Base, \p Base +
+/// \p Size), the trace is non-empty, the code image holds the prologue
+/// and every instruction, and every exit has a kind the engine knows
+/// and an instruction index inside the body.
+static bool entryUsable(const CacheFileView &View, uint32_t I,
+                        uint32_t Start, uint32_t Base, uint32_t Size) {
+  const TraceIndexEntry &E = View.entry(I);
+  if (Start < Base || Start - Base >= Size || E.GuestInstCount == 0 ||
+      E.CodeSize < dbi::TracePrologueBytes +
+                       static_cast<size_t>(E.GuestInstCount) *
+                           isa::InstructionSize)
+    return false;
+  for (uint32_t K = 0; K != E.ExitCount; ++K) {
+    const ExitRecord X = View.exitOf(I, K);
+    if (X.Kind > static_cast<uint8_t>(ExitKind::Halt) ||
+        X.InstIndex >= E.GuestInstCount)
+      return false;
+  }
+  return true;
 }
 
 static uint64_t pagesOf(uint64_t Bytes) {
@@ -223,90 +248,68 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   if (Opts.ValidateSemantic || !PrimedCerts.empty()) {
     // Verification at materialization: whenever a primed trace's body
     // is decoded (first execution, prevalidation, or a background
-    // worker's result being consumed), it is checked against the guest
-    // instructions at its start address. Promoted traces that rode in
-    // with a validation certificate go through the minimal trusted
-    // checker (no fixpoint solving); a rejected certificate — and any
-    // promoted trace without one — falls back to the full symbolic
-    // validator. Under Opts.ValidateSemantic, unpromoted traces are
-    // fully proved too. A trace that fails every applicable check is
-    // dropped for retranslation — and, once per session, the source
-    // cache is quarantined so later runs stop re-priming a miscompiled
-    // database (CertificateInvalid when a certificate lied and the
-    // re-proof agreed it was wrong; SemanticMismatch otherwise).
+    // worker's result being consumed), it goes through proveTrace()
+    // against the guest instructions at its start address — promoted
+    // traces, and under Opts.ValidateSemantic every trace. A trace that
+    // fails is dropped for retranslation — and, once per session, the
+    // source cache is quarantined so later runs stop re-priming a
+    // miscompiled database (CertificateInvalid when a certificate lied
+    // and the re-proof agreed it was wrong; SemanticMismatch
+    // otherwise). The certificates are spans into the view, which the
+    // hook keeps alive.
     std::shared_ptr<CacheStore> StorePtr = Db.backend();
     auto AlreadyQuarantined = std::make_shared<bool>(false);
     std::string Ref = Result.CachePath;
     loader::AddressSpace &Space = Engine.machine().space();
     auto Certs = std::make_shared<
-        std::unordered_map<uint32_t, std::vector<uint8_t>>>(
+        std::unordered_map<uint32_t, std::span<const uint8_t>>>(
         std::move(PrimedCerts));
     PrimedCerts.clear();
     const bool ValidateAll = Opts.ValidateSemantic;
     Engine.setMaterializeValidator(
-        [&Space, StorePtr, AlreadyQuarantined, Ref, Certs, ValidateAll](
-            uint32_t GuestStart,
-            const std::vector<isa::Instruction> &Body,
-            dbi::Engine::MaterializeCheckInfo &Info) -> Status {
-          auto QuarantineOnce = [&](QuarantineReasonCode Code,
-                                    const std::string &Detail) {
-            if (!*AlreadyQuarantined && !Ref.empty()) {
-              *AlreadyQuarantined = true;
-              (void)StorePtr->quarantineRef(
-                  Ref, annotatedQuarantineReason(Ref, Code, Detail));
-            }
-          };
+        [&Space, StorePtr, AlreadyQuarantined, Ref, Certs, ValidateAll,
+         View = LoadedView](uint32_t GuestStart,
+                            const std::vector<isa::Instruction> &Body,
+                            dbi::Engine::MaterializeCheckInfo &Info)
+            -> Status {
           auto It = Certs->find(GuestStart);
-          if (It == Certs->end() && !ValidateAll)
+          const bool Promoted = It != Certs->end();
+          if (!Promoted && !ValidateAll)
             return Status::success(); // Unpromoted, not validating.
           auto Source = fetchGuestSource(
               Space, GuestStart, static_cast<uint32_t>(Body.size()));
           if (!Source)
             return Source.status();
-          bool CertRejected = false;
-          std::string CertDetail;
-          if (It != Certs->end() && !It->second.empty()) {
-            // Certificate fast path: replay the recorded proof with
-            // the trusted checker, bound to the live guest bytes.
-            ++Info.CertsChecked;
-            analysis::CertCheckResult R = analysis::checkCertificateBlob(
-                It->second.data(), It->second.size(), GuestStart, Body,
-                &*Source);
-            if (R.ok()) {
-              Info.Verified = true;
-              return Status::success();
-            }
-            ++Info.CertChecksFailed;
-            CertRejected = true;
-            CertDetail = std::string(certCheckStatusName(R.Status)) +
-                         (R.Detail.empty() ? "" : ": " + R.Detail);
-          }
-          // Full symbolic proof: the prover backstop for a rejected or
-          // missing certificate on a promoted body, and the
-          // ValidateSemantic path for unpromoted ones.
-          if (It != Certs->end())
-            ++Info.ProofsReplayed;
-          auto Check =
-              analysis::validateTranslation(GuestStart, *Source, Body);
-          if (Check.Equivalent) {
-            Info.Verified = true;
+          ProofVerdict V =
+              proveTrace({.GuestStart = GuestStart,
+                          .Body = &Body,
+                          .Source = &*Source,
+                          .Cert = Promoted ? It->second
+                                           : std::span<const uint8_t>()});
+          Info.CertsChecked += V.CertChecked;
+          Info.CertChecksFailed += V.CertRejected;
+          Info.ProofsReplayed += Promoted && V.ProverRan;
+          Info.Verified = V.Proved;
+          if (V.Proved)
             return Status::success();
+          if (!*AlreadyQuarantined && !Ref.empty()) {
+            *AlreadyQuarantined = true;
+            (void)StorePtr->quarantineRef(
+                Ref, V.CertRejected
+                         ? annotatedQuarantineReason(
+                               Ref, QuarantineReasonCode::CertificateInvalid,
+                               "certificate rejected (" + V.CertDetail +
+                                   ") and re-proof failed: " +
+                                   V.ProofDetail)
+                         : annotatedQuarantineReason(
+                               Ref, QuarantineReasonCode::SemanticMismatch,
+                               V.ProofDetail));
           }
-          if (CertRejected) {
-            QuarantineOnce(QuarantineReasonCode::CertificateInvalid,
-                           "certificate rejected (" + CertDetail +
-                               ") and re-proof failed: " +
-                               Check.message());
-            return Status::error(ErrorCode::InvalidFormat,
-                                 "certificate rejected and re-proof "
-                                 "failed: " +
-                                     Check.message());
-          }
-          QuarantineOnce(QuarantineReasonCode::SemanticMismatch,
-                         Check.message());
-          return Status::error(ErrorCode::InvalidFormat,
-                               "translation validation failed: " +
-                                   Check.message());
+          return Status::error(
+              ErrorCode::InvalidFormat,
+              (V.CertRejected ? "certificate rejected and re-proof failed: "
+                              : "translation validation failed: ") +
+                  V.ProofDetail);
         });
   }
   if (Opts.EagerValidate)
@@ -492,20 +495,11 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     const int64_t D = Delta[E.ModuleIndex];
     const auto [RegionBase, RegionSize] = Region[E.ModuleIndex];
     const uint32_t NewStart = static_cast<uint32_t>(E.GuestStart + D);
-    const size_t MinCodeBytes =
-        dbi::TracePrologueBytes +
-        static_cast<size_t>(E.GuestInstCount) * isa::InstructionSize;
-    bool Usable = NewStart >= RegionBase &&
-                  NewStart - RegionBase < RegionSize &&
-                  E.CodeSize >= MinCodeBytes && !SeenStarts.count(NewStart);
-    for (uint32_t K = 0; Usable && K != E.ExitCount; ++K)
-      Usable = View.exitOf(TraceI, K).Kind <=
-               static_cast<uint8_t>(ExitKind::Halt);
-    if (!Usable) {
+    if (!entryUsable(View, TraceI, NewStart, RegionBase, RegionSize) ||
+        !SeenStarts.insert(NewStart).second) {
       skip();
       continue;
     }
-    SeenStarts.insert(NewStart);
     PoolBytes += E.CodeSize;
     Installs.push_back(PendingInstall{NewStart, TraceI, 0, D, nullptr});
   }
@@ -590,15 +584,15 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       continue;
     }
     Install.Added = *Added;
-    if (Opts.CheckCertificates && E.OptGen > 0) {
+    if (E.OptGen > 0) {
       // A certificate binds to the exact stored body bytes, so a rebase
       // invalidates it: the promoted trace is then re-proved in full at
-      // materialization (empty map entry).
-      std::vector<uint8_t> Cert;
+      // materialization (empty span).
       auto [CertData, CertSize] = View.certBlobOf(Install.TraceIndex);
-      if (CertData && Install.RebaseDelta == 0)
-        Cert.assign(CertData, CertData + CertSize);
-      PrimedCerts.emplace(Install.Start, std::move(Cert));
+      PrimedCerts.emplace(Install.Start,
+                          Install.RebaseDelta == 0
+                              ? std::span<const uint8_t>(CertData, CertSize)
+                              : std::span<const uint8_t>());
     }
     if (AsyncPrime)
       AsyncJobs.push_back(AsyncPayloadJob{
@@ -638,10 +632,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
 
 namespace {
 
-/// What one circuit-breaker publish pass did, accumulated off to the
-/// side so the same code runs inline or on a pool worker; the caller
-/// (finalize() or wait()) merges it into EngineStats, keeping the
-/// recorded values bit-identical either way.
+/// What one circuit-breaker publish pass did.
 struct PublishOutcome {
   bool Succeeded = false;
   Status LastError = Status::success();
@@ -678,12 +669,13 @@ void clearRelocBit(TraceRecord &Rec, uint32_t I) {
 
 /// Optimizes \p Rec's body in place and proves the result equivalent to
 /// \p Source; on success re-encodes the image (same size — slot-for-
-/// slot rewriting) and bumps the record's generation. Rejection leaves
-/// the record untouched. Replaced slots lose their reloc bits: a Nop or
-/// register move carries no address-bearing immediate to rebase.
+/// slot rewriting), bumps the record's generation and attaches the
+/// proof as its certificate. Rejection leaves the record untouched.
+/// Replaced slots lose their reloc bits: a Nop or register move carries
+/// no address-bearing immediate to rebase.
 bool promoteRecord(TraceRecord &Rec,
                    const std::vector<isa::Instruction> &Source, bool Pic,
-                   bool EmitCerts, OptOutcome &Out) {
+                   OptOutcome &Out) {
   auto Decoded = isa::decodeAll(
       Rec.Code.data() + dbi::TracePrologueBytes, Rec.GuestInstCount);
   if (!Decoded)
@@ -694,8 +686,8 @@ bool promoteRecord(TraceRecord &Rec,
   analysis::optimizeTraceBody(Body, Rec.GuestStart,
                               /*AllowConstFold=*/!Pic, OS);
   analysis::Certificate Cert;
-  auto Check = analysis::validateTranslation(
-      Rec.GuestStart, Source, Body, EmitCerts ? &Cert : nullptr);
+  auto Check =
+      analysis::validateTranslation(Rec.GuestStart, Source, Body, &Cert);
   if (!Check.Equivalent) {
     ++Out.Rejections;
     return false;
@@ -712,12 +704,8 @@ bool promoteRecord(TraceRecord &Rec,
   // The proof just ran against the new body: persist it as this
   // record's certificate. Any prior-generation certificate is stale
   // (it bound to the pre-promotion bytes) and must not survive.
-  if (EmitCerts) {
-    Cert.OptGen = Rec.OptGen;
-    Rec.Cert = Cert.serialize();
-  } else {
-    Rec.Cert.clear();
-  }
+  Cert.OptGen = Rec.OptGen;
+  Rec.Cert = Cert.serialize();
   ++Out.TracesPromoted;
   Out.LoadsEliminated += OS.LoadsEliminated;
   Out.ConstsFolded += OS.ConstsFolded;
@@ -730,8 +718,7 @@ bool promoteRecord(TraceRecord &Rec,
 /// proves. Pure host-side transform over \p File — no engine, store or
 /// guest state — so it runs equally inline or on a pool worker.
 void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
-                      uint32_t MaxGen, uint32_t MaxSuperblockInsts,
-                      bool EmitCerts, OptOutcome &Out) {
+                      OptOutcome &Out) {
   const bool Pic = File.PositionIndependent;
 
   // Candidate set: traces whose guest source was snapshotted (the heat
@@ -742,7 +729,7 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
   for (size_t I = 0; I != File.Traces.size(); ++I) {
     const TraceRecord &Rec = File.Traces[I];
     auto It = Sources.find(Rec.GuestStart);
-    if (It == Sources.end() || Rec.OptGen >= MaxGen ||
+    if (It == Sources.end() || Rec.OptGen >= OptMaxGen ||
         It->second.size() != Rec.GuestInstCount)
       continue;
     analysis::SuperblockCandidate C;
@@ -760,30 +747,28 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
     Cands.push_back(C);
   }
 
-  // Superblock formation first: each planned chain is merged into its
-  // head's record — the boundary fall-through exits become internal
-  // control flow; every other exit shifts by the head-relative
-  // instruction offset; reloc masks concatenate. Tails keep their own
-  // records (tail duplication — they remain valid entry points). A
-  // chain that fails its proof is abandoned whole; its members stay
-  // scalar candidates below.
+  // Superblock formation first: each planned chain is concatenated into
+  // one unoptimized record for its head — the boundary fall-through
+  // exits become internal control flow; every other exit shifts by the
+  // head-relative instruction offset; reloc masks concatenate — and
+  // promoted like any other record. Tails keep their own records (tail
+  // duplication — they remain valid entry points). A chain that fails
+  // its proof is abandoned whole; its members stay scalar candidates
+  // below.
   std::vector<bool> Done(Cands.size(), false);
   for (const std::vector<uint32_t> &Chain :
-       analysis::planSuperblocks(Cands, MaxSuperblockInsts)) {
-    std::vector<isa::Instruction> Body, Source;
-    std::vector<ExitRecord> Exits;
+       analysis::planSuperblocks(Cands, OptMaxSuperblockInsts)) {
+    std::vector<isa::Instruction> Source;
     TraceRecord Merged;
-    bool Bad = false;
+    Merged.Code.assign(dbi::TracePrologueBytes, 0);
     uint32_t Offset = 0;
     for (size_t K = 0; K != Chain.size(); ++K) {
       const TraceRecord &Rec = File.Traces[CandIdx[Chain[K]]];
-      auto Part = isa::decodeAll(
-          Rec.Code.data() + dbi::TracePrologueBytes, Rec.GuestInstCount);
-      if (!Part) {
-        Bad = true;
-        break;
-      }
-      Body.insert(Body.end(), Part->begin(), Part->end());
+      const auto BodyBegin = Rec.Code.begin() + dbi::TracePrologueBytes;
+      Merged.Code.insert(Merged.Code.end(), BodyBegin,
+                         BodyBegin + static_cast<size_t>(
+                                         Rec.GuestInstCount) *
+                                         isa::InstructionSize);
       const std::vector<isa::Instruction> &Src =
           Sources.at(Rec.GuestStart);
       Source.insert(Source.end(), Src.begin(), Src.end());
@@ -792,7 +777,7 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
           break; // Boundary fall-through: now internal, exit dropped.
         ExitRecord E = Rec.Exits[X];
         E.InstIndex += Offset;
-        Exits.push_back(E);
+        Merged.Exits.push_back(E);
       }
       if (Pic)
         for (uint32_t B = 0; B != Rec.GuestInstCount; ++B)
@@ -800,49 +785,20 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
             Merged.setRelocBit(Offset + B);
       Offset += Rec.GuestInstCount;
     }
-    if (Bad)
-      continue;
+    Merged.Code.resize(Merged.Code.size() +
+                           Merged.Exits.size() * dbi::ExitStubBytes,
+                       0);
     const TraceRecord &Head = File.Traces[CandIdx[Chain[0]]];
     Merged.GuestStart = Head.GuestStart;
     Merged.ModuleIndex = Head.ModuleIndex;
     Merged.GuestInstCount = Offset;
     Merged.Heat = Head.Heat;
     Merged.OptGen = Head.OptGen;
-    Merged.Exits = std::move(Exits);
-
-    const std::vector<isa::Instruction> Original = Body;
-    analysis::TraceOptStats OS;
-    analysis::optimizeTraceBody(Body, Merged.GuestStart,
-                                /*AllowConstFold=*/!Pic, OS);
-    analysis::Certificate Cert;
-    auto Check = analysis::validateTranslation(
-        Merged.GuestStart, Source, Body, EmitCerts ? &Cert : nullptr);
-    if (!Check.Equivalent) {
-      ++Out.Rejections;
+    if (!promoteRecord(Merged, Source, Pic, Out))
       continue;
-    }
-    if (Pic)
-      for (uint32_t I = 0; I != Body.size(); ++I)
-        if (!sameInst(Body[I], Original[I]))
-          clearRelocBit(Merged, I);
-    Merged.Code.assign(dbi::TracePrologueBytes +
-                           Body.size() * isa::InstructionSize +
-                           Merged.Exits.size() * dbi::ExitStubBytes,
-                       0);
-    std::vector<uint8_t> Encoded = isa::encodeAll(Body);
-    std::copy(Encoded.begin(), Encoded.end(),
-              Merged.Code.begin() + dbi::TracePrologueBytes);
-    ++Merged.OptGen;
-    if (EmitCerts) {
-      Cert.OptGen = Merged.OptGen;
-      Merged.Cert = Cert.serialize();
-    }
     File.Traces[CandIdx[Chain[0]]] = std::move(Merged);
     Done[Chain[0]] = true;
     ++Out.SuperblocksFormed;
-    ++Out.TracesPromoted;
-    Out.LoadsEliminated += OS.LoadsEliminated;
-    Out.ConstsFolded += OS.ConstsFolded;
   }
 
   // Scalar promotion for every remaining candidate — superblock tails
@@ -851,23 +807,22 @@ void promoteCacheFile(CacheFile &File, const OptSourceMap &Sources,
     if (Done[CI])
       continue;
     promoteRecord(File.Traces[CandIdx[CI]], Sources.at(Cands[CI].Start),
-                  Pic, EmitCerts, Out);
+                  Pic, Out);
   }
 }
 
 /// Store-write circuit breaker: persistence is an accelerator, so a
-/// failing write is retried up to the threshold and then abandoned —
-/// the run completes correctly either way. Pure store-side work; no
-/// engine or session state is touched, which is what makes it safe to
-/// run on a pool worker after finalize() has returned.
+/// failing write is retried up to PublishAttempts times and then
+/// abandoned — the run completes correctly either way. Pure store-side
+/// work; no engine or session state is touched, which is what makes it
+/// safe to run on a pool worker after finalize() has returned.
 PublishOutcome publishWithBreaker(CacheStore &Store,
                                   const std::string &StoreAsPath,
                                   uint64_t LookupKey,
                                   uint32_t BaseGeneration,
-                                  uint32_t Attempts,
                                   const CacheFile &File) {
   PublishOutcome Out;
-  for (uint32_t Attempt = 0; Attempt != Attempts; ++Attempt) {
+  for (uint32_t Attempt = 0; Attempt != PublishAttempts; ++Attempt) {
     if (Attempt != 0)
       ++Out.StoreRetries;
     if (!StoreAsPath.empty()) {
@@ -891,7 +846,64 @@ PublishOutcome publishWithBreaker(CacheStore &Store,
   return Out;
 }
 
+/// What the finalize tail did, accumulated off to the side so the same
+/// code runs inline or on a pool worker; foldFinalizeOutcome() merges it
+/// into EngineStats for finalize() and wait() alike, keeping the
+/// recorded values bit-identical either way.
+struct FinalizeOutcome {
+  PublishOutcome Publish;
+  OptOutcome Opt;
+};
+
+/// The finalize tail: promotes \p File's hot candidates (when the
+/// snapshot took any guest sources), then publishes it through the
+/// circuit breaker.
+FinalizeOutcome
+promoteAndPublish(CacheFile &File, const OptSourceMap &Sources,
+                  CacheStore &Store, const std::string &StoreAsPath,
+                  uint64_t LookupKey, uint32_t BaseGeneration) {
+  FinalizeOutcome Out;
+  if (!Sources.empty())
+    promoteCacheFile(File, Sources, Out.Opt);
+  Out.Publish =
+      publishWithBreaker(Store, StoreAsPath, LookupKey, BaseGeneration, File);
+  return Out;
+}
+
+/// Merges \p Out into *\p Stats (when given) and returns the FailFast
+/// error when one applies; a failed publish otherwise degrades the
+/// session to in-memory-only success.
+Status foldFinalizeOutcome(const FinalizeOutcome &Out,
+                           bool FailFast, dbi::EngineStats *Stats) {
+  if (Stats) {
+    Stats->TracesPromoted += Out.Opt.TracesPromoted;
+    Stats->SuperblocksFormed += Out.Opt.SuperblocksFormed;
+    Stats->OptLoadsEliminated += Out.Opt.LoadsEliminated;
+    Stats->OptConstsFolded += Out.Opt.ConstsFolded;
+    Stats->OptValidatorRejections += Out.Opt.Rejections;
+    Stats->PersistStoreRetries += Out.Publish.StoreRetries;
+    Stats->PersistStoreFailures += Out.Publish.StoreFailures;
+  }
+  if (Out.Publish.Succeeded)
+    return Status::success();
+  if (FailFast)
+    return Out.Publish.LastError;
+  if (Stats) {
+    Stats->PersistDegraded = true;
+    Stats->PersistDegradeReason = Out.Publish.LastError.toString();
+  }
+  return Status::success();
+}
+
 } // namespace
+
+/// Outcome slot for a background finalize.
+struct PersistentSession::FinalizeState {
+  std::mutex Mutex;
+  std::condition_variable Completed;
+  bool Done = false;
+  FinalizeOutcome Outcome;
+};
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
@@ -951,49 +963,28 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // Deep verification at write-back (Opts.ValidateSemantic): never
   // sign a trace whose code image is no longer effect-equivalent to
   // the guest code it claims to translate — in-pool corruption would
-  // otherwise be re-published under a fresh checksum. A mismatch skips
-  // just that trace.
+  // otherwise be re-published under a fresh checksum. A record that
+  // still carries its promotion certificate is checked by it first. A
+  // mismatch skips just that trace.
   const loader::AddressSpace &Space = Engine.machine().space();
   auto semanticallyValid = [&](TraceRecord &Rec) -> bool {
     if (!Opts.ValidateSemantic)
       return true;
-    auto Translated =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
     auto Source =
-        Translated ? fetchGuestSource(Space, Rec.GuestStart,
-                                      Rec.GuestInstCount)
-                   : ErrorOr<std::vector<isa::Instruction>>(
-                         Translated.status());
-    if (!Translated || !Source) {
-      ++Engine.stats().VerifyFailures;
-      return false;
-    }
-    // Certificate fast path: a record that still carries its promotion
-    // certificate is verified by the trusted checker; only a rejected
-    // (or absent) certificate pays for the full symbolic proof.
-    const bool HadCert = !Rec.Cert.empty();
-    analysis::CertBindings Bind;
-    Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-    Bind.BodyByteCount =
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    if (HadCert &&
-        analysis::checkCertificateBlob(Rec.Cert.data(), Rec.Cert.size(),
-                                       Rec.GuestStart, *Translated,
-                                       &*Source, &Bind)
-            .ok()) {
-      ++Engine.stats().TracesVerified;
-      return true;
-    }
-    if (!analysis::validateTranslation(Rec.GuestStart, *Source,
-                                       *Translated)
-             .Equivalent) {
+        fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
+    ProofVerdict V;
+    if (Source)
+      V = proveTrace({.GuestStart = Rec.GuestStart,
+                      .Record = &Rec,
+                      .Source = &*Source,
+                      .Cert = Rec.Cert});
+    if (!Source || !V.Proved) {
       ++Engine.stats().VerifyFailures;
       return false;
     }
     // The prover vouches for the body but the certificate did not:
     // drop the stale certificate, keep the trace.
-    if (HadCert)
+    if (V.CertRejected)
       Rec.Cert.clear();
     ++Engine.stats().TracesVerified;
     return true;
@@ -1143,7 +1134,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   //
   // Either way a record whose guest start is already written is not
   // carried, so the file never holds two traces for one start.
-  if (Opts.Accumulate && LoadedWasOwn && Prior) {
+  if (LoadedWasOwn && Prior) {
     constexpr uint32_t NotCarried = ~0u;
     std::vector<uint32_t> CarryTo(Prior->numModules(), NotCarried);
     for (uint32_t I = 0; I != Prior->numModules(); ++I) {
@@ -1170,7 +1161,12 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     }
     for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
       const TraceIndexEntry &E = Prior->entry(J);
-      if (CarryTo[E.ModuleIndex] == NotCarried || Starts.count(E.GuestStart))
+      const ModuleKey &Mod = Prior->modules()[E.ModuleIndex];
+      // The install's usability test: a record prime would have skipped
+      // is never carried either.
+      if (CarryTo[E.ModuleIndex] == NotCarried ||
+          Starts.count(E.GuestStart) ||
+          !entryUsable(*Prior, J, E.GuestStart, Mod.Base, Mod.Size))
         continue;
       auto Copy = Prior->record(J);
       if (!Copy)
@@ -1240,8 +1236,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   OptSourceMap OptSources;
   if (Opts.OptTier && !Engine.tool() && File.SpecBits == 0)
     for (const TraceRecord &Rec : File.Traces) {
-      if (Rec.Heat < Opts.OptHeatThreshold ||
-          Rec.OptGen >= Opts.OptMaxGen)
+      if (Rec.Heat < OptHeatThreshold || Rec.OptGen >= OptMaxGen)
         continue;
       auto Src =
           fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
@@ -1251,90 +1246,47 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
       OptSources.emplace(Rec.GuestStart, Src.take());
     }
 
-  CacheStore &Store = *Db.backend();
-  dbi::EngineStats &Stats = Engine.stats();
   // The write charge is modeled on the pre-promotion snapshot in both
   // the sync and background paths: promotion happens off the modeled
   // critical path, so architectural stats stay bit-identical whether
   // the tier is on or off, and for any worker count.
-  Stats.PersistCycles +=
+  Engine.stats().PersistCycles +=
       Engine.options().Costs.PersistWriteCyclesPerPage *
       pagesOf(File.serializedSize());
   // Transactional publish: BaseGeneration is what this session primed
   // from its own slot (a donor prime does not claim the slot's
   // history), so a concurrent finalizer that advanced the slot first is
   // detected and merged with instead of clobbered.
-  uint32_t BaseGeneration =
+  const uint32_t BaseGeneration =
       LoadedWasOwn && Prior ? File.Generation - 1 : 0;
 
-  uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
+  if (!Opts.Pool || Opts.Pool->workerCount() == 0)
+    return foldFinalizeOutcome(
+        promoteAndPublish(File, OptSources, *Db.backend(), Opts.StoreAsPath,
+                          LookupKey, BaseGeneration),
+        Opts.FailFast, &Engine.stats());
 
-  if (Opts.Pool && Opts.Pool->workerCount() > 0) {
-    // Background finalize: the snapshot above (and every modeled
-    // charge) happened synchronously; only the serialize + store
-    // publish — pure host-side I/O — moves off the critical path.
-    // The breaker/degrade/FailFast outcome is delivered by wait().
-    Fin = std::make_shared<FinalizeState>();
-    auto FinPtr = Fin;
-    std::shared_ptr<CacheStore> StorePtr = Db.backend();
-    Opts.Pool->submit([FinPtr, StorePtr, FilePtr,
-                       Sources = std::move(OptSources),
-                       MaxGen = Opts.OptMaxGen,
-                       MaxSb = Opts.OptMaxSuperblockInsts,
-                       EmitCerts = Opts.EmitCertificates,
-                       StoreAsPath = Opts.StoreAsPath,
-                       Key = LookupKey, BaseGeneration,
-                       Attempts]() mutable {
-      OptOutcome Opt;
-      if (!Sources.empty())
-        promoteCacheFile(*FilePtr, Sources, MaxGen, MaxSb, EmitCerts,
-                         Opt);
-      PublishOutcome Out =
-          publishWithBreaker(*StorePtr, StoreAsPath, Key,
-                             BaseGeneration, Attempts, *FilePtr);
-      // Free the snapshot before signalling, so its teardown is part of
-      // the work wait() waits for rather than spilling past it.
-      FilePtr.reset();
-      {
-        std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
-        FinPtr->Succeeded = Out.Succeeded;
-        FinPtr->LastError = Out.LastError;
-        FinPtr->StoreFailures = Out.StoreFailures;
-        FinPtr->StoreRetries = Out.StoreRetries;
-        FinPtr->TracesPromoted = Opt.TracesPromoted;
-        FinPtr->SuperblocksFormed = Opt.SuperblocksFormed;
-        FinPtr->OptLoadsEliminated = Opt.LoadsEliminated;
-        FinPtr->OptConstsFolded = Opt.ConstsFolded;
-        FinPtr->OptValidatorRejections = Opt.Rejections;
-        FinPtr->Done = true;
-      }
-      FinPtr->Completed.notify_all();
-    });
-    return Status::success();
-  }
-
-  OptOutcome Opt;
-  if (!OptSources.empty())
-    promoteCacheFile(File, OptSources, Opts.OptMaxGen,
-                     Opts.OptMaxSuperblockInsts, Opts.EmitCertificates,
-                     Opt);
-  Stats.TracesPromoted += Opt.TracesPromoted;
-  Stats.SuperblocksFormed += Opt.SuperblocksFormed;
-  Stats.OptLoadsEliminated += Opt.LoadsEliminated;
-  Stats.OptConstsFolded += Opt.ConstsFolded;
-  Stats.OptValidatorRejections += Opt.Rejections;
-
-  PublishOutcome Out =
-      publishWithBreaker(Store, Opts.StoreAsPath, LookupKey,
-                         BaseGeneration, Attempts, File);
-  Stats.PersistStoreRetries += Out.StoreRetries;
-  Stats.PersistStoreFailures += Out.StoreFailures;
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  Stats.PersistDegraded = true;
-  Stats.PersistDegradeReason = Out.LastError.toString();
+  // Background finalize: the snapshot above (and every modeled charge)
+  // happened synchronously; only the promotion, serialize and store
+  // publish — pure host-side work — move off the critical path. The
+  // outcome is folded in by wait().
+  Fin = std::make_shared<FinalizeState>();
+  Opts.Pool->submit([FinPtr = Fin, StorePtr = Db.backend(), FilePtr,
+                     Sources = std::move(OptSources),
+                     StoreAsPath = Opts.StoreAsPath, Key = LookupKey,
+                     BaseGeneration]() mutable {
+    FinalizeOutcome Out = promoteAndPublish(
+        *FilePtr, Sources, *StorePtr, StoreAsPath, Key, BaseGeneration);
+    // Free the snapshot before signalling, so its teardown is part of
+    // the work wait() waits for rather than spilling past it.
+    FilePtr.reset();
+    {
+      std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
+      FinPtr->Outcome = std::move(Out);
+      FinPtr->Done = true;
+    }
+    FinPtr->Completed.notify_all();
+  });
   return Status::success();
 }
 
@@ -1359,40 +1311,14 @@ Status PersistentSession::wait(dbi::EngineStats *Stats) {
   }
   if (!Fin)
     return Status::success();
-  PublishOutcome Out;
-  OptOutcome Opt;
+  FinalizeOutcome Out;
   {
     std::unique_lock<std::mutex> Lock(Fin->Mutex);
     Fin->Completed.wait(Lock, [&] { return Fin->Done; });
-    Out.Succeeded = Fin->Succeeded;
-    Out.LastError = Fin->LastError;
-    Out.StoreFailures = Fin->StoreFailures;
-    Out.StoreRetries = Fin->StoreRetries;
-    Opt.TracesPromoted = Fin->TracesPromoted;
-    Opt.SuperblocksFormed = Fin->SuperblocksFormed;
-    Opt.LoadsEliminated = Fin->OptLoadsEliminated;
-    Opt.ConstsFolded = Fin->OptConstsFolded;
-    Opt.Rejections = Fin->OptValidatorRejections;
+    Out = std::move(Fin->Outcome);
   }
   Fin.reset();
-  if (Stats) {
-    Stats->PersistStoreRetries += Out.StoreRetries;
-    Stats->PersistStoreFailures += Out.StoreFailures;
-    Stats->TracesPromoted += Opt.TracesPromoted;
-    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
-    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
-    Stats->OptConstsFolded += Opt.ConstsFolded;
-    Stats->OptValidatorRejections += Opt.Rejections;
-  }
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  if (Stats) {
-    Stats->PersistDegraded = true;
-    Stats->PersistDegradeReason = Out.LastError.toString();
-  }
-  return Status::success();
+  return foldFinalizeOutcome(Out, Opts.FailFast, Stats);
 }
 
 ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(

@@ -48,9 +48,8 @@
 #include "persist/Residency.h"
 #include "support/ThreadPool.h"
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,9 +61,6 @@ namespace persist {
 struct PersistOptions {
   /// Ignore the application key at lookup (inter-application mode).
   bool InterApplication = false;
-  /// Merge still-valid prior traces into the written cache. Off, the
-  /// written cache contains only this run's resident traces.
-  bool Accumulate = true;
   /// Write the cache back at finalize().
   bool WriteBack = true;
   /// Generate/consume position-independent translations (extension).
@@ -91,11 +87,6 @@ struct PersistOptions {
   std::string ExplicitCachePath;
   /// Write the cache to this path instead of the database slot.
   std::string StoreAsPath;
-  /// Circuit breaker: consecutive store-write failures finalize()
-  /// absorbs (retrying in between) before giving up on persistence for
-  /// this session. The run itself still succeeds — it just leaves
-  /// nothing behind, recorded in EngineStats::PersistDegraded.
-  uint32_t BreakerThreshold = 3;
   /// Propagate store-write failures as finalize() errors instead of
   /// degrading (strict tools and tests that must observe the failure).
   /// With a worker pool the failure surfaces from wait() instead —
@@ -125,25 +116,6 @@ struct PersistOptions {
   /// skips just that trace. Verified/failed counts land in
   /// EngineStats::TracesVerified / VerifyFailures.
   bool ValidateSemantic = false;
-  /// Check persisted validation certificates at prime time: every
-  /// promoted (OptGen > 0) trace that rode in with a certificate is
-  /// re-verified by the minimal trusted checker
-  /// (analysis::checkCertificateBlob) when its body is first
-  /// materialized — no fixpoint solving, just replaying the recorded
-  /// proof against the live guest bytes. A rejected certificate falls
-  /// back to the full symbolic validator; if that also fails, the
-  /// trace is dropped and the source cache quarantined with
-  /// QuarantineReasonCode::CertificateInvalid. Promoted traces with no
-  /// usable certificate (rebased, or written before certificates
-  /// existed) are re-proved in full. Counts land in
-  /// EngineStats::CertsChecked / CertChecksFailed / ProofsReplayed.
-  bool CheckCertificates = true;
-  /// Emit a validation certificate with every finalize-time promotion:
-  /// the validator's successful proof is serialized into the trace
-  /// record so later primes can verify the promoted body with the
-  /// trusted checker instead of re-proving it. Files with no certified
-  /// traces stay byte-identical to pre-certificate output.
-  bool EmitCertificates = true;
   /// Finalize-time AOT optimization tier: promote hot traces (lifetime
   /// heat >= OptHeatThreshold) to a higher optimization generation
   /// before the cache is published — superblock formation across
@@ -155,16 +127,25 @@ struct PersistOptions {
   /// the publish (on the worker pool when one is configured), behind
   /// the wait() durability barrier. Only engaged for tool-less
   /// sessions: the optimizer deletes instructions, which would change
-  /// instrumentation callback sequences.
+  /// instrumentation callback sequences. Each promotion's proof is
+  /// persisted as the record's validation certificate; every session
+  /// checks a promoted trace's certificate (the prover backstops a
+  /// rejected or missing one) when its body is first materialized.
   bool OptTier = false;
-  /// Minimum lifetime heat for a trace to be considered for promotion.
-  uint32_t OptHeatThreshold = 2;
-  /// Generation ceiling: traces already at this generation are left
-  /// alone (each proved promotion pass bumps a trace by one).
-  uint32_t OptMaxGen = 4;
-  /// Combined instruction cap for a merged superblock body.
-  uint32_t OptMaxSuperblockInsts = 256;
 };
+
+/// Store-write circuit breaker: publish attempts finalize() makes
+/// (retrying in between) before giving up on persistence for the
+/// session. The run itself still succeeds — it just leaves nothing
+/// behind, recorded in EngineStats::PersistDegraded.
+inline constexpr uint32_t PublishAttempts = 3;
+/// Minimum lifetime heat for a trace to be considered for promotion.
+inline constexpr uint32_t OptHeatThreshold = 2;
+/// Generation ceiling: traces already at this generation are left alone
+/// (each proved promotion pass bumps a trace by one).
+inline constexpr uint32_t OptMaxGen = 4;
+/// Combined instruction cap for a merged superblock body.
+inline constexpr uint32_t OptMaxSuperblockInsts = 256;
 
 /// What prime() did, for reporting and tests.
 struct PrimeResult {
@@ -277,24 +258,8 @@ private:
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
 
-  /// Outcome slot for a background finalize publish.
-  struct FinalizeState {
-    std::mutex Mutex;
-    std::condition_variable Completed;
-    bool Done = false;
-    bool Succeeded = false;
-    Status LastError = Status::success();
-    uint64_t StoreFailures = 0;
-    uint64_t StoreRetries = 0;
-    /// Optimization-tier outcome of the background promotion pass,
-    /// merged into EngineStats at wait() exactly as the synchronous
-    /// path records it.
-    uint64_t TracesPromoted = 0;
-    uint64_t SuperblocksFormed = 0;
-    uint64_t OptLoadsEliminated = 0;
-    uint64_t OptConstsFolded = 0;
-    uint64_t OptValidatorRejections = 0;
-  };
+  /// Outcome slot for a background finalize (defined in Session.cpp).
+  struct FinalizeState;
   std::shared_ptr<FinalizeState> Fin;
 
   /// State carried from prime() to finalize(): the primed cache (null
@@ -306,11 +271,11 @@ private:
   std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
   /// Promoted traces installed by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
-  /// in with the record, or empty when none is usable (rebase delta,
-  /// or a pre-certificate file). Consumed by the materialize-check
-  /// hook, which certificate-checks the former and re-proves the
-  /// latter in full.
-  std::unordered_map<uint32_t, std::vector<uint8_t>> PrimedCerts;
+  /// in with the record (a span into LoadedView), or empty when none is
+  /// usable (rebase delta, or an uncertified record). Consumed by the
+  /// materialize-check hook, which certificate-checks the former and
+  /// re-proves the latter in full.
+  std::unordered_map<uint32_t, std::span<const uint8_t>> PrimedCerts;
   bool LoadedWasOwn = false; ///< Cache came from this app's own slot.
   uint64_t LookupKey = 0;
   uint64_t EngineHash = 0;

@@ -2,8 +2,7 @@
 
 #include "persist/TieredStore.h"
 
-#include "analysis/CertChecker.h"
-#include "dbi/Compiler.h"
+#include "persist/TraceProof.h"
 
 #include <algorithm>
 #include <cassert>
@@ -85,24 +84,10 @@ TieredStore::fetchIntoL1Locked(const std::string &Name,
     if (Rec.Cert.empty())
       continue;
     ++CertFillChecks;
-    if (Rec.Code.size() < dbi::TracePrologueBytes +
-                              static_cast<size_t>(Rec.GuestInstCount) *
-                                  isa::InstructionSize) {
-      ++CertFillRejects;
-      continue;
-    }
-    auto Body =
-        isa::decodeAll(Rec.Code.data() + dbi::TracePrologueBytes,
-                       Rec.GuestInstCount);
-    analysis::CertBindings Bind;
-    Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-    Bind.BodyByteCount =
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    if (!Body ||
-        !analysis::checkCertificateBlob(Rec.Cert.data(),
-                                        Rec.Cert.size(), Rec.GuestStart,
-                                        *Body, nullptr, &Bind)
-             .ok())
+    if (!proveTrace({.GuestStart = Rec.GuestStart,
+                     .Record = &Rec,
+                     .Cert = Rec.Cert})
+             .Proved)
       ++CertFillRejects;
   }
   uint64_t Size = Remote->serializedSize();

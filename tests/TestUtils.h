@@ -109,11 +109,11 @@ inline TinyWorkload makeTinyWorkload(uint32_t NumLocal = 4,
   return W;
 }
 
-/// Every scalar field plus the compile-event timeline: the XIP/
-/// materializing and worker-count contracts are bit-identity, not
-/// approximate agreement. Includes PersistSharedPageHits — the one
-/// counter a residency probe can move — because every install path
-/// must move it identically.
+/// Every EngineStats field, the compile-event timeline included: the
+/// XIP/materializing, worker-count and sync/background-finalize
+/// contracts are bit-identity, not approximate agreement. Includes
+/// PersistSharedPageHits — the one counter a residency probe can move —
+/// because every install path must move it identically.
 inline void expectStatsEqual(const dbi::EngineStats &A,
                              const dbi::EngineStats &B,
                              const std::string &Label) {
@@ -141,7 +141,21 @@ inline void expectStatsEqual(const dbi::EngineStats &A,
   EXPECT_EQ(A.PersistSharedPageHits, B.PersistSharedPageHits) << Label;
   EXPECT_EQ(A.TracesVerified, B.TracesVerified) << Label;
   EXPECT_EQ(A.VerifyFailures, B.VerifyFailures) << Label;
+  EXPECT_EQ(A.CertsChecked, B.CertsChecked) << Label;
+  EXPECT_EQ(A.CertChecksFailed, B.CertChecksFailed) << Label;
+  EXPECT_EQ(A.ProofsReplayed, B.ProofsReplayed) << Label;
   EXPECT_EQ(A.FlagsElided, B.FlagsElided) << Label;
+  EXPECT_EQ(A.TracesPromoted, B.TracesPromoted) << Label;
+  EXPECT_EQ(A.SuperblocksFormed, B.SuperblocksFormed) << Label;
+  EXPECT_EQ(A.OptLoadsEliminated, B.OptLoadsEliminated) << Label;
+  EXPECT_EQ(A.OptConstsFolded, B.OptConstsFolded) << Label;
+  EXPECT_EQ(A.OptValidatorRejections, B.OptValidatorRejections) << Label;
+  EXPECT_EQ(A.OptNopsExecuted, B.OptNopsExecuted) << Label;
+  EXPECT_EQ(A.PersistL1Hits, B.PersistL1Hits) << Label;
+  EXPECT_EQ(A.PersistL2Hits, B.PersistL2Hits) << Label;
+  EXPECT_EQ(A.PersistRemoteFetches, B.PersistRemoteFetches) << Label;
+  EXPECT_EQ(A.PersistRemoteBytes, B.PersistRemoteBytes) << Label;
+  EXPECT_EQ(A.FirstTraceReadyCycles, B.FirstTraceReadyCycles) << Label;
   EXPECT_EQ(A.PersistStoreFailures, B.PersistStoreFailures) << Label;
   EXPECT_EQ(A.PersistStoreRetries, B.PersistStoreRetries) << Label;
   EXPECT_EQ(A.PersistCandidatesSkippedIo, B.PersistCandidatesSkippedIo)

@@ -385,27 +385,6 @@ TEST(CertSection, UncertifiedFilesStayByteIdentical) {
   EXPECT_TRUE(std::equal(Plain.begin() + HeaderBytes, Plain.end(),
                          Certified->begin() + HeaderBytes))
       << "cert section not purely trailing";
-
-  // A run that never emits certificates produces an unflagged file.
-  TempDir Dir2;
-  persist::CacheDatabase Db2(Dir2.path());
-  persist::PersistOptions NoEmit;
-  NoEmit.OptTier = true;
-  NoEmit.EmitCertificates = false;
-  ASSERT_TRUE(run(W, Input, Db2, NoEmit).ok());
-  auto File2 = Db2.loadPath(soleCachePath(Dir2.path()));
-  ASSERT_TRUE(File2.ok());
-  unsigned Promoted = 0;
-  for (const persist::TraceRecord &Rec : File2->Traces) {
-    Promoted += Rec.OptGen > 0;
-    EXPECT_TRUE(Rec.Cert.empty());
-  }
-  EXPECT_GT(Promoted, 0u);
-  auto Bytes2 = readFile(soleCachePath(Dir2.path()));
-  ASSERT_TRUE(Bytes2.ok());
-  auto View2 = persist::CacheFileView::open(*Bytes2);
-  ASSERT_TRUE(View2.ok());
-  EXPECT_FALSE(View2->certsFlagged());
 }
 
 TEST(CertSection, CorruptSectionDegradesFileStaysUsable) {

@@ -4,7 +4,9 @@
 // architecturally invisible (identical guest results promotion on/off,
 // across seeds), every transformed body must be validator-proved (a
 // seeded miscompile in any of the new passes is flagged), a corrupt
-// promoted payload falls back per trace, heat counters survive the
+// promoted payload falls back per trace, an index entry the install
+// cannot use is never carried into a promoting write-back, heat
+// counters survive the
 // v2 -> v3 -> promoted-generation migration, a recorded gen-0 run
 // replays bit-identically after the database advances to gen-2, and a
 // stale gen-0 finalizer can never clobber a promoted artifact in a
@@ -26,8 +28,11 @@
 #include "persist/TieredStore.h"
 #include "replay/Recorder.h"
 #include "replay/Replay.h"
+#include "support/ByteStream.h"
 #include "support/FaultInjector.h"
 #include "support/FileSystem.h"
+#include "support/Hashing.h"
+#include "support/ThreadPool.h"
 
 #include "TestUtils.h"
 
@@ -308,6 +313,88 @@ TEST(OptTier, PromotedBodiesSurviveSemanticMaterializeValidation) {
   EXPECT_GT(Warm->Stats.TracesVerified, 0u);
   EXPECT_EQ(Warm->Stats.VerifyFailures, 0u);
   EXPECT_EQ(Warm->Stats.TracesDroppedCorrupt, 0u);
+}
+
+TEST(OptTier, UnusableEntriesAreNeitherInstalledNorCarried) {
+  // Each corruption breaks one per-trace rule of CacheFile::validate()
+  // in every index entry; the trace-index and header CRCs are then
+  // re-sealed, so the file still opens and only the install's
+  // usability test can reject the entries.
+  enum class Damage { CountPastCode, EmptyTrace, ExitPastBody };
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  const std::vector<uint8_t> Grow = W.allSlotsInput(5);
+  const std::vector<uint8_t> Partial = W.input({{0, 1}});
+  for (Damage D :
+       {Damage::CountPastCode, Damage::EmptyTrace, Damage::ExitPastBody})
+    for (size_t Workers : {0u, 4u}) {
+      SCOPED_TRACE("damage " + std::to_string(static_cast<int>(D)) +
+                   ", workers " + std::to_string(Workers));
+      TempDir Dir;
+      persist::CacheDatabase Db(Dir.path());
+      ASSERT_TRUE(run(W, Grow, Db).ok());
+
+      const std::string Path = soleCachePath(Dir.path());
+      auto Bytes = readFile(Path);
+      ASSERT_TRUE(Bytes.ok());
+      uint8_t *Data = Bytes->data();
+      const uint32_t IndexOffset = loadLittleEndian<uint32_t>(Data + 48);
+      const uint32_t IndexSize = loadLittleEndian<uint32_t>(Data + 52);
+      uint32_t NumTraces = 0;
+      {
+        auto View = persist::CacheFileView::open(*Bytes);
+        ASSERT_TRUE(View.ok()) << View.status().toString();
+        ASSERT_FALSE(View->optGenEntries());
+        NumTraces = View->numTraces();
+        ASSERT_EQ(NumTraces, 35u);
+        for (uint32_t I = 0; I != NumTraces; ++I) {
+          const persist::TraceIndexEntry &E = View->entry(I);
+          uint8_t *Entry =
+              Data + IndexOffset + I * persist::v2::IndexEntryBytes;
+          if (D == Damage::CountPastCode)
+            storeLittleEndian<uint32_t>(
+                Entry + 8, E.CodeSize / isa::InstructionSize + 1);
+          else if (D == Damage::EmptyTrace)
+            storeLittleEndian<uint32_t>(Entry + 8, 0);
+          else {
+            ASSERT_GT(E.ExitCount, 0u);
+            storeLittleEndian<uint32_t>(
+                Data + IndexOffset + E.MetaOffset + 1, E.GuestInstCount);
+          }
+        }
+      }
+      storeLittleEndian<uint32_t>(Data + 68,
+                                  crc32(Data + IndexOffset, IndexSize));
+      storeLittleEndian<uint32_t>(
+          Data + 72, crc32(Data, persist::v2::HeaderBytes - 4));
+      ASSERT_TRUE(persist::CacheFileView::open(*Bytes).ok());
+      ASSERT_TRUE(writeFileAtomic(Path, *Bytes).ok());
+
+      // A promoting partial run skips every entry at install and must
+      // not carry them into the written file either.
+      std::unique_ptr<support::ThreadPool> Pool;
+      persist::PersistOptions Opts;
+      Opts.OptTier = true;
+      if (Workers != 0) {
+        Pool = std::make_unique<support::ThreadPool>(Workers);
+        Opts.Pool = Pool.get();
+      }
+      auto Warm = run(W, Partial, Db, Opts);
+      ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+      EXPECT_TRUE(Warm->Prime.CacheFound);
+      EXPECT_EQ(Warm->Prime.TracesInstalled, 0u);
+      EXPECT_EQ(Warm->Prime.TracesSkipped, NumTraces);
+
+      auto Written = Db.loadPath(soleCachePath(Dir.path()));
+      ASSERT_TRUE(Written.ok()) << Written.status().toString();
+      Status Valid = Written->validate();
+      EXPECT_TRUE(Valid.ok()) << Valid.toString();
+
+      auto Next = run(W, Partial, Db, Opts);
+      ASSERT_TRUE(Next.ok()) << Next.status().toString();
+      EXPECT_TRUE(Next->Prime.CacheFound);
+      EXPECT_GT(Next->Prime.TracesInstalled, 0u);
+      EXPECT_EQ(Next->Prime.TracesSkipped, 0u);
+    }
 }
 
 //===----------------------------------------------------------------------===//

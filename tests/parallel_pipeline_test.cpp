@@ -465,6 +465,55 @@ TEST(BackgroundFinalize, FailFastSurfacesTheStoreErrorFromWait) {
   EXPECT_EQ(R.status().code(), ErrorCode::IoError);
 }
 
+TEST(BackgroundFinalize, PromotionIdenticalToSyncPath) {
+  // An optimization-tier ramp finalized inline and on a 4-worker pool:
+  // every run's stats and every written file must be identical, across
+  // the promotion generations and the prime-time certificate checks.
+  TinyWorkload W = makeTinyWorkload(4, 2, 31);
+  auto Input = W.allSlotsInput(4);
+  TempDir SyncDir, PoolDir;
+  CacheDatabase SyncDb(SyncDir.path()), PoolDb(PoolDir.path());
+  support::ThreadPool Pool(4);
+  PersistOptions SyncOpts;
+  SyncOpts.OptTier = true;
+  PersistOptions PoolOpts = SyncOpts;
+  PoolOpts.Pool = &Pool;
+  auto writtenBytes = [](const std::string &Dir) {
+    auto Names = listDirectory(Dir);
+    EXPECT_TRUE(Names.ok());
+    std::vector<uint8_t> Bytes;
+    if (Names)
+      for (const std::string &Name : *Names)
+        if (Name.size() > 4 && Name.substr(Name.size() - 4) == ".pcc")
+          if (auto B = readFile(Dir + "/" + Name))
+            Bytes = B.take();
+    return Bytes;
+  };
+  uint64_t Promoted = 0, Superblocks = 0, CertsChecked = 0;
+  for (int Run = 0; Run != 6; ++Run) {
+    const std::string Label = "run " + std::to_string(Run);
+    auto Sync = workloads::runPersistent(W.Registry, W.App, Input, SyncDb,
+                                         SyncOpts);
+    auto Background = workloads::runPersistent(W.Registry, W.App, Input,
+                                               PoolDb, PoolOpts);
+    ASSERT_TRUE(Sync.ok()) << Sync.status().toString();
+    ASSERT_TRUE(Background.ok()) << Background.status().toString();
+    EXPECT_TRUE(Sync->Run.observablyEquals(Background->Run)) << Label;
+    expectStatsEqual(Sync->Stats, Background->Stats, Label);
+    const std::vector<uint8_t> SyncFile = writtenBytes(SyncDir.path());
+    ASSERT_FALSE(SyncFile.empty()) << Label;
+    EXPECT_TRUE(SyncFile == writtenBytes(PoolDir.path())) << Label;
+    Promoted += Sync->Stats.TracesPromoted;
+    Superblocks += Sync->Stats.SuperblocksFormed;
+    CertsChecked += Sync->Stats.CertsChecked;
+  }
+  // The ramp must actually promote, form superblocks and check
+  // certificates.
+  EXPECT_GT(Promoted, 0u);
+  EXPECT_GT(Superblocks, 0u);
+  EXPECT_GT(CertsChecked, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Parallel maintenance: identical reports at any worker count.
 //===----------------------------------------------------------------------===//
