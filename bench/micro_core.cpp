@@ -220,27 +220,6 @@ void BM_DatabaseEagerScan(benchmark::State &State) {
 }
 BENCHMARK(BM_DatabaseEagerScan);
 
-/// Records the wall-clock instant the first translated basic block
-/// executes. Keyed into the cache like any tool, so fixtures that prime
-/// under it must also have cold-populated under it.
-struct FirstBlockTimerTool : dbi::Tool {
-  std::chrono::steady_clock::time_point FirstBlock;
-  bool Seen = false;
-
-  std::string name() const override { return "first-block-timer"; }
-  dbi::InstrumentationSpec spec() const override {
-    dbi::InstrumentationSpec Spec;
-    Spec.BasicBlocks = true;
-    return Spec;
-  }
-  void onBasicBlock(uint32_t, uint32_t) override {
-    if (!Seen) {
-      Seen = true;
-      FirstBlock = std::chrono::steady_clock::now();
-    }
-  }
-};
-
 /// A large persisted application whose warm runs touch only a couple of
 /// regions: measures prime + partial execution, where lazy validation
 /// means only the executed traces' payloads are CRC-checked and decoded.
@@ -402,92 +381,6 @@ void BM_XipPrime(benchmark::State &State) {
       (unsigned long long)Installed, (unsigned long long)BytesCopied));
 }
 BENCHMARK(BM_XipPrime)->Arg(0)->Arg(1);
-
-/// Fixture for the prime/execution overlap benchmark: the same scale of
-/// application as PrimeFixture, but traced with MaxTraceInsts = 64.
-/// Longer traces shift prime()'s cost balance away from trace install
-/// (a per-trace constant) toward payload validation (CRC + decode,
-/// proportional to instructions) — which is exactly the work the async
-/// pipeline moves off the critical path. Cold-populated under
-/// FirstBlockTimerTool, since the tool identity keys the cache and the
-/// benchmark always runs under the timer.
-struct OverlapFixture {
-  loader::ModuleRegistry Registry;
-  std::shared_ptr<binary::Module> App;
-  bench::ScratchDir Dir{"pcc-bench-overlap"};
-  persist::CacheDatabase Db{Dir.path()};
-  dbi::EngineOptions EngineOpts;
-  std::vector<uint8_t> WarmInput;
-
-  OverlapFixture() {
-    EngineOpts.MaxTraceInsts = 128;
-    workloads::AppDef Def;
-    Def.Name = "overlap";
-    Def.Path = "/bin/overlap";
-    for (uint32_t I = 0; I != 208; ++I) {
-      workloads::RegionDef Region;
-      Region.Name = "o" + std::to_string(I);
-      Region.Blocks = 32;
-      Region.InstsPerBlock = 16;
-      Region.Seed = I + 301;
-      Def.Slots.push_back(
-          workloads::FunctionSlot::local(std::move(Region)));
-    }
-    App = workloads::buildExecutable(Def);
-    std::vector<workloads::WorkItem> All;
-    for (uint32_t I = 0; I != 208; ++I)
-      All.push_back(workloads::WorkItem{I, 1});
-    FirstBlockTimerTool Timer;
-    bench::mustOk(workloads::runPersistent(
-                      Registry, App, workloads::encodeWorkload(All), Db,
-                      persist::PersistOptions(), &Timer, EngineOpts),
-                  "cold run populating the overlap-bench cache");
-    std::vector<workloads::WorkItem> Few;
-    for (uint32_t I = 0; I != 2; ++I)
-      Few.push_back(workloads::WorkItem{I, 1});
-    WarmInput = workloads::encodeWorkload(Few);
-  }
-};
-
-OverlapFixture &overlapFixture() {
-  static OverlapFixture F;
-  return F;
-}
-
-/// Time-to-first-trace-execution on a warm cache: from run start until
-/// the first translated basic block executes. Arg 0 is the fully
-/// synchronous baseline (EagerValidate: every payload CRC-checked,
-/// decoded and materialized before prime() returns); Arg N > 0 primes
-/// asynchronously with N background workers, so execution starts while
-/// payload validation is still in flight.
-void BM_PrimeAsyncOverlap(benchmark::State &State) {
-  OverlapFixture &F = overlapFixture();
-  const bool Async = State.range(0) != 0;
-  std::unique_ptr<support::ThreadPool> Pool;
-  persist::PersistOptions Opts;
-  Opts.WriteBack = false;
-  if (Async) {
-    Pool = std::make_unique<support::ThreadPool>(
-        static_cast<size_t>(State.range(0)), /*Background=*/true);
-    Opts.Pool = Pool.get();
-  } else {
-    Opts.EagerValidate = true;
-  }
-  for (auto _ : State) {
-    FirstBlockTimerTool Timer;
-    auto Start = std::chrono::steady_clock::now();
-    auto R = workloads::runPersistent(F.Registry, F.App, F.WarmInput,
-                                      F.Db, Opts, &Timer, F.EngineOpts);
-    if (!R || !R->Prime.CacheFound || !Timer.Seen)
-      std::abort();
-    State.SetIterationTime(
-        std::chrono::duration<double>(Timer.FirstBlock - Start).count());
-    benchmark::DoNotOptimize(R);
-  }
-  State.SetLabel(Async ? "async prime"
-                       : "synchronous eager-validate prime");
-}
-BENCHMARK(BM_PrimeAsyncOverlap)->Arg(0)->Arg(1)->Arg(2)->UseManualTime();
 
 /// finalize() critical-path latency after a full run. Arg 0 serializes,
 /// CRCs and publishes inline; Arg 1 snapshots the resident traces and
@@ -747,7 +640,7 @@ void BM_DeepVerify(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(Verified));
   State.SetLabel("traces proved");
 }
-BENCHMARK(BM_DeepVerify)->Arg(1)->Arg(4);
+BENCHMARK(BM_DeepVerify)->Arg(1)->Arg(4)->UseRealTime();
 
 /// Engine run with the dead-def elision pass off (Arg 0) and on
 /// (Arg 1). The pass costs liveness plus a validator proof per
@@ -1193,7 +1086,12 @@ void BM_ProofCheck(benchmark::State &State) {
       "%s, %zu promoted traces",
       Reprove ? "full re-prove" : "certificate check", F.Items.size()));
 }
-BENCHMARK(BM_ProofCheck)->Args({0, 1})->Args({0, 4})->Args({1, 1})->Args({1, 4});
+BENCHMARK(BM_ProofCheck)
+    ->Args({0, 1})
+    ->Args({0, 4})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->UseRealTime();
 
 } // namespace
 

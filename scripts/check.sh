@@ -59,7 +59,8 @@
 #                                    faulty tiered run; the TSan pass
 #                                    records on 4 workers and replays
 #                                    with --jobs 0 and --jobs 16 to
-#                                    prove worker-count independence
+#                                    prove the background finalize
+#                                    worker-count independent
 #   scripts/check.sh --opt           optimization-tier soak: runs the
 #                                    opt_tier_test binary under ASan
 #                                    and then TSan, fault-injects a
@@ -132,9 +133,10 @@ replay_iteration() {
 }
 
 # Tool-level round trip over a faulty tiered store. The TSan pass
-# records on four pipeline workers and then replays the same log
-# synchronously and on sixteen workers: any worker count must
-# reproduce the recording bit for bit.
+# records with a four-worker background finalize and then replays the
+# same log synchronously and on sixteen workers: the finalize workers
+# run promotion, serialization and the publish, so any worker count
+# must reproduce the recording bit for bit.
 replay_post() {
   REC_JOBS=0
   [ "$SAN" = thread ] && REC_JOBS=4

@@ -119,41 +119,16 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
   // Deferred per-trace validation: prime() checked only the header,
   // module table and trace index, so the payload CRC runs here, on
   // first execution — over the raw stored bytes, before any
-  // position-independent rebase touches them. With an install queue
-  // the host-side CRC + decode may already have happened on a worker
-  // (over the same stored bytes); the modeled charges below are made
-  // here either way, so the cost model cannot observe the worker count.
-  std::optional<ReadyTrace> Ready;
-  if (InstallQ) {
-    auto It = Prevalidated.find(T->guestStart());
-    if (It != Prevalidated.end()) {
-      Ready = std::move(It->second);
-      Prevalidated.erase(It);
-    } else {
-      // Unclaimed jobs are withdrawn (we validate inline); in-flight
-      // jobs are waited for so the work happens exactly once. The
-      // chunk-mates that arrive alongside the requested trace are
-      // stashed for their own first executions.
-      for (ReadyTrace &R : InstallQ->takeFor(T->guestStart())) {
-        if (R.GuestStart == T->guestStart())
-          Ready = std::move(R);
-        else
-          Prevalidated.emplace(R.GuestStart, std::move(R));
-      }
-    }
-  }
+  // position-independent rebase touches them.
   Stats.PersistCycles += Opts.Costs.PersistTraceCrcCycles;
   ++Stats.TracePayloadsValidated;
-  bool CrcOk = Ready ? Ready->CrcOk
-                     : crc32(Cache.codeAt(T->poolOffset()),
-                             T->poolBytes()) == P->ExpectedCodeCrc;
-  if (!CrcOk)
+  if (crc32(Cache.codeAt(T->poolOffset()), T->poolBytes()) !=
+      P->ExpectedCodeCrc)
     return Status::error(ErrorCode::InvalidFormat,
                          "persisted trace payload checksum mismatch");
-  // finalize() harvests code from the pool, so the pool copy is rebased
-  // even when a worker already rebased the decoded body. Unrebased, the
-  // pool bytes are exactly the bytes just verified (a worker checks the
-  // view's stored copy of them), so their CRC is kept for write-back.
+  // finalize() harvests code from the pool, so the pool copy itself is
+  // rebased. Unrebased, the pool bytes are exactly the bytes just
+  // verified, so their CRC is kept for write-back.
   if (P->RebaseDelta != 0)
     rebaseTranslatedImage(Cache.mutableCodeAt(T->poolOffset()),
                           T->poolBytes(), T->guestInstCount(),
@@ -161,29 +136,21 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
   else
     T->setVerifiedCodeCrc(P->ExpectedCodeCrc);
   T->clearPersistedPayload();
-  std::vector<Instruction> Decoded;
-  if (Ready) {
-    if (!Ready->DecodeError.ok())
-      return Ready->DecodeError;
-    Decoded = std::move(Ready->Body);
-  } else {
-    auto Body = isa::decodeAll(
-        Cache.codeAt(T->poolOffset() + TracePrologueBytes),
-        T->guestInstCount());
-    if (!Body)
-      return Body.status();
-    Decoded = Body.take();
-  }
+  auto Body = isa::decodeAll(
+      Cache.codeAt(T->poolOffset() + TracePrologueBytes),
+      T->guestInstCount());
+  if (!Body)
+    return Body.status();
   if (ValidateMaterialize) {
     // Deep semantic verification: the decoded (rebased) body must be
     // effect-equivalent to the guest instructions it claims to
     // translate. Runs before materialize so a rejected trace follows
     // the same drop-and-retranslate path as a CRC mismatch.
-    Status Verdict = runMaterializeCheck(T->guestStart(), Decoded);
+    Status Verdict = runMaterializeCheck(T->guestStart(), *Body);
     if (!Verdict.ok())
       return Verdict;
   }
-  T->materialize(std::move(Decoded));
+  T->materialize(Body.take());
   chargePersistFirstTouch(T);
   ++Stats.TracesReused;
   return Status::success();
@@ -203,34 +170,6 @@ Status Engine::runMaterializeCheck(
   if (Info.Verified)
     ++Stats.TracesVerified;
   return Status::success();
-}
-
-void Engine::drainInstallQueue() {
-  for (ReadyTrace &R : InstallQ->drainReady()) {
-    uint32_t Start = R.GuestStart;
-    Prevalidated.emplace(Start, std::move(R));
-  }
-}
-
-void Engine::prevalidatePersistedTraces() {
-  // Snapshot the starts first: dropping a corrupt trace mutates the
-  // trace list mid-iteration otherwise.
-  std::vector<uint32_t> Starts;
-  Starts.reserve(Cache.traces().size());
-  for (const auto &T : Cache.traces())
-    if (T->isFromPersistentCache() && !T->isMaterialized())
-      Starts.push_back(T->guestStart());
-  for (uint32_t Start : Starts) {
-    TranslatedTrace *T = Cache.lookup(Start);
-    if (!T || T->isMaterialized())
-      continue;
-    if (ensureMaterialized(T).ok())
-      continue;
-    // Same disposition as a first-execution failure: drop just this
-    // trace; the dispatcher retranslates it if the run ever needs it.
-    Cache.removeTracesInRange(Start, 1);
-    ++Stats.TracesDroppedCorrupt;
-  }
 }
 
 namespace {
@@ -280,12 +219,6 @@ vm::RunResult Engine::run() {
     }
 
     if (!Current) {
-      // Dispatcher boundary: collect payloads the async-prime workers
-      // finished since the last exit from the code cache. Host-side
-      // bookkeeping only — no modeled charge, no translation-map
-      // change, so the cost model is blind to it.
-      if (InstallQ)
-        drainInstallQueue();
       // Dispatcher: context switch out of the code cache plus
       // translation-map lookup; compile on a miss.
       Stats.DispatchCycles += Costs.DispatchCycles;

@@ -24,14 +24,11 @@
 #include "dbi/CodeCache.h"
 #include "dbi/Compiler.h"
 #include "dbi/CostModel.h"
-#include "dbi/InstallQueue.h"
 #include "dbi/Stats.h"
 #include "dbi/Tool.h"
 #include "vm/Machine.h"
 
 #include <functional>
-#include <memory>
-#include <unordered_map>
 
 namespace pcc {
 namespace dbi {
@@ -104,15 +101,6 @@ public:
     return ClientTool ? ClientTool->spec() : InstrumentationSpec();
   }
 
-  /// Attaches the async-prime install queue: worker threads publish
-  /// CRC-validated, pre-decoded persisted payloads there and run()
-  /// drains them at dispatcher boundaries. Results are bit-identical
-  /// with and without a queue — the background work is host-side only
-  /// and every modeled cycle is still charged here at first execution.
-  void setInstallQueue(std::shared_ptr<TraceInstallQueue> Q) {
-    InstallQ = std::move(Q);
-  }
-
   /// What a materialize-time verification hook did, reported back so
   /// the engine can account for it without knowing how the session
   /// verifies (full symbolic re-proof, certificate check, or neither).
@@ -130,15 +118,14 @@ public:
   };
 
   /// Deep-verification hook run when a persisted trace's body is
-  /// decoded (at first execution or during a synchronous/async prime),
-  /// before the trace becomes executable. Receives the trace's guest
-  /// start address, its decoded (rebased) body, and an Info out-param
-  /// describing the verification work done; a non-success Status
-  /// rejects the trace, which is then dropped and retranslated from
-  /// guest memory exactly like a payload CRC failure. Installed by
-  /// persist::Session when PersistOptions::ValidateSemantic or
-  /// certificate checking applies; the engine itself stays
-  /// persistence-agnostic.
+  /// decoded at its first execution, before the trace becomes
+  /// executable. Receives the trace's guest start address, its decoded
+  /// (rebased) body, and an Info out-param describing the verification
+  /// work done; a non-success Status rejects the trace, which is then
+  /// dropped and retranslated from guest memory exactly like a payload
+  /// CRC failure. Installed by persist::Session when
+  /// PersistOptions::ValidateSemantic or certificate checking applies;
+  /// the engine itself stays persistence-agnostic.
   using MaterializeValidator = std::function<Status(
       uint32_t GuestStart, const std::vector<isa::Instruction> &Body,
       MaterializeCheckInfo &Info)>;
@@ -160,22 +147,14 @@ public:
     ProbeResidency = std::move(P);
   }
 
-  /// Validates and materializes every still-pending persisted trace on
-  /// the calling thread (corrupt ones are dropped for retranslation,
-  /// exactly as at first execution). This is the fully synchronous
-  /// prime the async pipeline is measured against; demand-paged costs
-  /// are charged as if every trace had been executed once.
-  void prevalidatePersistedTraces();
-
 private:
   /// Dispatcher slow path: translation-map lookup, compiling on a miss,
   /// flushing and retrying when a pool fills.
   ErrorOr<TranslatedTrace *> lookupOrCompile(uint32_t Pc);
 
   /// Decodes a persisted trace's body on first execution, charging
-  /// demand-paging costs. Consumes a background-validated body when
-  /// one is available; otherwise does the work inline. XIP traces are
-  /// CRC-checked and bounds-scanned in place instead of decoded.
+  /// demand-paging costs. XIP traces are CRC-checked and bounds-scanned
+  /// in place instead of decoded.
   Status ensureMaterialized(TranslatedTrace *T);
 
   /// Charges the first-execution materialize + page-touch cycles for
@@ -190,9 +169,6 @@ private:
   Status runMaterializeCheck(uint32_t GuestStart,
                              const std::vector<isa::Instruction> &Body);
 
-  /// Moves every published install-queue result into Prevalidated.
-  void drainInstallQueue();
-
   vm::Machine &M;
   Tool *ClientTool;
   EngineOptions Opts;
@@ -200,16 +176,10 @@ private:
   Compiler TheCompiler;
   EngineStats Stats;
   bool HasRun = false;
-  /// Async-prime plumbing (null when priming is synchronous).
-  std::shared_ptr<TraceInstallQueue> InstallQ;
   /// Semantic-verification hook for persisted bodies (null = off).
   MaterializeValidator ValidateMaterialize;
   /// Cross-process page-residency probe (null = single process).
   ResidencyProbe ProbeResidency;
-  /// Drained-but-not-yet-consumed worker results, by guest start. An
-  /// entry whose trace was flushed before first execution simply goes
-  /// unused; the dispatcher recompiles that PC as on a cold run.
-  std::unordered_map<uint32_t, ReadyTrace> Prevalidated;
 };
 
 } // namespace dbi

@@ -9,10 +9,9 @@
 /// Process-global observation points the record/replay layer installs
 /// while a run is being recorded. The persistence stack reports the
 /// nondeterministic inputs it consumes — the cache bytes an open
-/// observed, which tier satisfied the prime, every quarantine decision,
-/// and the install queue's scheduling outcomes — without depending on
-/// `pcc::replay` (the recorder lives above this layer and implements
-/// the interface).
+/// observed, which tier satisfied the prime and every quarantine
+/// decision — without depending on `pcc::replay` (the recorder lives
+/// above this layer and implements the interface).
 ///
 /// The hooks are off in normal operation: every tap site guards itself
 /// with a single relaxed atomic load of the installed pointer, so an
@@ -33,18 +32,6 @@
 
 namespace pcc {
 namespace persist {
-
-/// Install-queue scheduling outcomes of one run — how the racing of
-/// background payload validation against the engine thread resolved.
-/// Recorded as *diagnostics*: the PR 4 invariant makes EngineStats
-/// independent of these numbers, so replay never asserts on them, but a
-/// human minimizing a divergence wants to see how the schedule fell.
-struct ScheduleOutcomes {
-  uint64_t ChunksPublished = 0;      ///< Worker-validated chunks posted.
-  uint64_t ChunksClaimed = 0;        ///< Chunks the engine consumed.
-  uint64_t ChunksWithdrawn = 0;      ///< Unclaimed chunks taken back.
-  uint64_t ChunksInFlightSkipped = 0; ///< Claims lost to a busy worker.
-};
 
 /// Interface the recorder implements. Callbacks may arrive from worker
 /// threads; implementations synchronize internally. All callbacks must
@@ -69,10 +56,6 @@ public:
   virtual void onQuarantine(const std::string &Ref,
                             QuarantineReasonCode Code,
                             const std::string &Detail) = 0;
-
-  /// The run's install-queue scheduling outcomes (fired once, at the
-  /// session's durability barrier).
-  virtual void onScheduleOutcomes(const ScheduleOutcomes &Outcomes) = 0;
 
   /// Name under which the in-progress recording will be persisted
   /// ("" when the recording is anonymous). Quarantine reasons embed it

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <iterator>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -222,15 +221,11 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
 
   // The session owns the view before installing: an XIP install hands
   // it to the code cache as the keepalive of the borrowed payload
-  // mapping, and async payload jobs read its bytes from pool workers.
+  // mapping.
   LoadedView = std::make_shared<CacheFileView>(std::move(Source->View));
   Status S = installView(Engine, Result);
   if (!S.ok())
     return S;
-  // Under XIP there is no decode work to offload; AsyncJobs stays empty
-  // and the queue is never created.
-  if (!AsyncJobs.empty())
-    startAsyncPrime(Engine, Result);
   if (Opts.SharedResidency && Result.TracesInstalled != 0) {
     // One shared physical copy per (cache file, generation): every
     // simulated process priming the same payload probes and populates
@@ -247,8 +242,7 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   }
   if (Opts.ValidateSemantic || !PrimedCerts.empty()) {
     // Verification at materialization: whenever a primed trace's body
-    // is decoded (first execution, prevalidation, or a background
-    // worker's result being consumed), it goes through proveTrace()
+    // is decoded at its first execution, it goes through proveTrace()
     // against the guest instructions at its start address — promoted
     // traces, and under Opts.ValidateSemantic every trace. A trace that
     // fails is dropped for retranslation — and, once per session, the
@@ -312,90 +306,7 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
                   V.ProofDetail);
         });
   }
-  if (Opts.EagerValidate)
-    Engine.prevalidatePersistedTraces();
   return Result;
-}
-
-/// One payload validated exactly as the engine's inline
-/// first-execution path does it: CRC over the raw stored bytes,
-/// decode, then rebase the decoded immediates. (The inline path
-/// rebases the pool bytes before decoding; adding the delta to the
-/// decoded little-endian immediate is the same mod-2^32 arithmetic.)
-dbi::ReadyTrace
-PersistentSession::validatePayload(const CacheFileView &View,
-                                   const AsyncPayloadJob &JD) {
-  dbi::ReadyTrace R;
-  R.GuestStart = JD.GuestStart;
-  const TraceIndexEntry &E = View.entry(JD.TraceIndex);
-  const uint8_t *Code = View.codeBytesOf(JD.TraceIndex);
-  R.CrcOk = crc32(Code, E.CodeSize) == E.CodeCrc;
-  if (!R.CrcOk)
-    return R;
-  auto Body =
-      isa::decodeAll(Code + dbi::TracePrologueBytes, E.GuestInstCount);
-  if (!Body) {
-    R.DecodeError = Body.status();
-    return R;
-  }
-  R.Body = Body.take();
-  if (JD.RebaseDelta != 0) {
-    const std::span<const uint8_t> Mask = View.relocMaskOf(JD.TraceIndex);
-    for (uint32_t I = 0; I != E.GuestInstCount; ++I)
-      if (Mask.size() > I / 8 && (Mask[I / 8] >> (I % 8)) & 1)
-        R.Body[I].Imm = static_cast<uint32_t>(
-            R.Body[I].Imm + static_cast<uint64_t>(JD.RebaseDelta));
-  }
-  return R;
-}
-
-namespace {
-
-/// Traces per install-queue job. Batching keeps the producer loop —
-/// which runs on the engine thread inside prime() — and the queue's
-/// per-boundary bookkeeping off the run's critical path; a chunk is
-/// still small enough that waiting out an in-flight job or losing a
-/// withdrawn chunk's background work is negligible.
-constexpr size_t PayloadChunkTraces = 64;
-
-} // namespace
-
-void PersistentSession::startAsyncPrime(dbi::Engine &Engine,
-                                        PrimeResult &Result) {
-  Queue = std::make_shared<dbi::TraceInstallQueue>();
-  // The jobs read only view bytes and their own descriptors — never
-  // engine memory — so a mid-run flush or eviction cannot race them.
-  // The view is guaranteed alive until wait()/destruction quiesces the
-  // queue.
-  const CacheFileView *View = &*LoadedView;
-  for (size_t Begin = 0; Begin < AsyncJobs.size();
-       Begin += PayloadChunkTraces) {
-    size_t End = std::min(Begin + PayloadChunkTraces, AsyncJobs.size());
-    auto Batch = std::make_shared<std::vector<AsyncPayloadJob>>(
-        std::make_move_iterator(AsyncJobs.begin() + Begin),
-        std::make_move_iterator(AsyncJobs.begin() + End));
-    std::vector<uint32_t> Starts;
-    Starts.reserve(Batch->size());
-    for (const AsyncPayloadJob &JD : *Batch)
-      Starts.push_back(JD.GuestStart);
-    Queue->addJob(std::move(Starts),
-                  [View, Batch]() -> std::vector<dbi::ReadyTrace> {
-                    std::vector<dbi::ReadyTrace> Out;
-                    Out.reserve(Batch->size());
-                    for (const AsyncPayloadJob &JD : *Batch)
-                      Out.push_back(validatePayload(*View, JD));
-                    return Out;
-                  });
-  }
-  AsyncJobs.clear();
-  Result.PayloadJobsQueued = static_cast<uint32_t>(Queue->jobCount());
-  Engine.setInstallQueue(Queue);
-  auto Q = Queue;
-  for (size_t W = 0; W != Opts.Pool->workerCount(); ++W)
-    Opts.Pool->submit([Q] {
-      while (Q->runNextJob()) {
-      }
-    });
 }
 
 void PersistentSession::validateModules(
@@ -454,7 +365,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
   // every index entry to be usable. Any disqualifier selects the copying
   // install, whose modeled charges are bit-identical.
   bool Xip = View.executeInPlace() && isa::HostExecutesInPlace &&
-             !Opts.ValidateSemantic && !Opts.EagerValidate &&
+             !Opts.ValidateSemantic &&
              View.payloadSize() <= Engine.options().CodePoolBytes;
   for (size_t I = 0; I != Delta.size(); ++I)
     if (ModuleValidated[I] && Delta[I] != 0)
@@ -505,9 +416,9 @@ Status PersistentSession::installView(dbi::Engine &Engine,
   }
 
   if (Xip) {
-    // Borrow the mapped payload wholesale: zero bytes copied, zero
-    // decode jobs queued. The view (keepalive) stays alive until the
-    // cache unmaps it — flush/eviction release, never free.
+    // Borrow the mapped payload wholesale: zero bytes copied. The view
+    // (keepalive) stays alive until the cache unmaps it —
+    // flush/eviction release, never free.
     for (PendingInstall &Install : Installs)
       Install.PoolOffset = View.entry(Install.TraceIndex).CodeOffset;
     Status S = Cache.installBorrowedPool(
@@ -540,12 +451,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       return S;
   }
 
-  const bool AsyncPrime = !Xip && Opts.Pool &&
-                          Opts.Pool->workerCount() > 0 &&
-                          !Opts.EagerValidate;
   Cache.reserveTraces(Installs.size());
-  if (AsyncPrime)
-    AsyncJobs.reserve(Installs.size());
   for (PendingInstall &Install : Installs) {
     const TraceIndexEntry &E = View.entry(Install.TraceIndex);
     std::vector<dbi::TraceExit> Exits;
@@ -594,9 +500,6 @@ Status PersistentSession::installView(dbi::Engine &Engine,
                               ? std::span<const uint8_t>(CertData, CertSize)
                               : std::span<const uint8_t>());
     }
-    if (AsyncPrime)
-      AsyncJobs.push_back(AsyncPayloadJob{
-          Install.Start, Install.TraceIndex, Install.RebaseDelta});
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
@@ -909,13 +812,6 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
   if (!Opts.WriteBack)
     return Status::success();
-
-  // The prime pipeline is over: withdraw payload jobs no one will
-  // consume so the workers free up for the publish below. In-flight
-  // jobs are left to finish (they read only view bytes, which stay
-  // alive until wait()/destruction).
-  if (Queue)
-    Queue->cancelPending();
 
   const loader::LoadedImage &Image = Engine.machine().image();
   const dbi::CodeCache &Cache = Engine.cache();
@@ -1291,24 +1187,6 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
 }
 
 Status PersistentSession::wait(dbi::EngineStats *Stats) {
-  if (Queue) {
-    // Jobs the run never consumed are dead weight; in-flight ones must
-    // finish before the cache-file view they read can be released.
-    Queue->cancelPending();
-    Queue->waitInFlight();
-    if (RecordingHooks *Hooks = recordingHooks()) {
-      // Diagnostic timeline only: engine results are invariant to the
-      // claim/withdraw pattern, so replay compares these outcomes to
-      // attribute a divergence, never to reproduce one.
-      dbi::ScheduleStats Sched = Queue->scheduleStats();
-      ScheduleOutcomes Out;
-      Out.ChunksPublished = Sched.ChunksPublished;
-      Out.ChunksClaimed = Sched.ChunksClaimed;
-      Out.ChunksWithdrawn = Sched.ChunksWithdrawn;
-      Out.ChunksInFlightSkipped = Sched.ChunksInFlightSkipped;
-      Hooks->onScheduleOutcomes(Out);
-    }
-  }
   if (!Fin)
     return Status::success();
   FinalizeOutcome Out;

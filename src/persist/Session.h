@@ -92,21 +92,15 @@ struct PersistOptions {
   /// With a worker pool the failure surfaces from wait() instead —
   /// finalize() has already returned by the time the publish runs.
   bool FailFast = false;
-  /// Worker pool shared across the persistence pipeline (null: fully
-  /// synchronous, today's behaviour). With workers, prime() returns
-  /// after the header/index scan and trace installation while payload
-  /// CRC + decode run in the background, and finalize() publishes off
-  /// the critical path. Guest-visible results and EngineStats are
-  /// bit-identical for any worker count. The pool must outlive the
-  /// session.
+  /// Worker pool for the background finalize (null: fully
+  /// synchronous). With workers, finalize() snapshots the resident
+  /// traces on the calling thread and runs promotion, serialization and
+  /// the store publish on the pool, behind the wait() durability
+  /// barrier. Persisted payloads are always checked and decoded on the
+  /// engine thread at first execution, so guest-visible results and
+  /// EngineStats are bit-identical for any worker count. The pool must
+  /// outlive the session.
   support::ThreadPool *Pool = nullptr;
-  /// Validate, decode and materialize every installed payload before
-  /// prime() returns — the fully synchronous baseline the async
-  /// pipeline is benchmarked against (BM_PrimeAsyncOverlap). Modeled
-  /// demand-paging costs are charged as if each trace had executed
-  /// once, so this mode is for latency measurement, not stats
-  /// comparison.
-  bool EagerValidate = false;
   /// Deep semantic verification (analysis::validateTranslation): every
   /// primed trace must prove effect-equivalent to the guest code it
   /// claims to translate when its body is first decoded, and finalize()
@@ -161,9 +155,6 @@ struct PrimeResult {
   /// Candidate caches that exist but could not be read (I/O errors) —
   /// distinct from there being no cache at all.
   uint32_t CandidatesSkippedIo = 0;
-  /// Payload-validation jobs handed to the worker pool (0 when priming
-  /// synchronously).
-  uint32_t PayloadJobsQueued = 0;
   /// True when the cache payload was installed execute-in-place: the
   /// code pool borrows the file's mapped payload section and prime()
   /// copied zero payload bytes.
@@ -180,9 +171,8 @@ public:
                     PersistOptions Opts = PersistOptions())
       : Db(Db), Opts(std::move(Opts)) {}
 
-  /// Quiesces the async pipeline: outstanding payload jobs are
-  /// cancelled/drained and a background finalize is waited for (its
-  /// outcome is discarded; call wait() first when it matters).
+  /// Waits for a background finalize (its outcome is discarded; call
+  /// wait() first when it matters).
   ~PersistentSession() { (void)wait(nullptr); }
 
   PersistentSession(const PersistentSession &) = delete;
@@ -201,13 +191,11 @@ public:
   /// merged rather than clobbered.
   Status finalize(dbi::Engine &Engine);
 
-  /// Durability barrier for the async pipeline: cancels payload jobs
-  /// no one will consume anymore, waits for in-flight ones (they read
-  /// the session-owned cache view), and blocks until a background
-  /// finalize publish completes. The publish outcome — store failure
-  /// and retry counts, circuit-breaker degradation — is merged into
-  /// *\p Stats when given, exactly as the synchronous path records it;
-  /// the returned Status is the FailFast error when one applies.
+  /// Durability barrier for the background finalize: blocks until its
+  /// publish completes. The publish outcome — store failure and retry
+  /// counts, circuit-breaker degradation — is merged into *\p Stats
+  /// when given, exactly as the synchronous path records it; the
+  /// returned Status is the FailFast error when one applies.
   /// Idempotent; a no-op for synchronous sessions.
   Status wait(dbi::EngineStats *Stats);
 
@@ -235,28 +223,8 @@ private:
   /// charge bit-identical modeled stats.
   Status installView(dbi::Engine &Engine, PrimeResult &Result);
 
-  /// Hands the deferred payload jobs recorded by installView() to the
-  /// worker pool and attaches the install queue to \p Engine.
-  void startAsyncPrime(dbi::Engine &Engine, PrimeResult &Result);
-
   const CacheDatabase &Db;
   PersistOptions Opts;
-
-  /// One deferred payload-validation job, recorded at install time;
-  /// the worker reads the code image, CRC and reloc mask from
-  /// LoadedView's index entry.
-  struct AsyncPayloadJob {
-    uint32_t GuestStart = 0; ///< Rebased start (the install key).
-    uint32_t TraceIndex = 0; ///< Index into the source trace index.
-    int64_t RebaseDelta = 0;
-  };
-  std::vector<AsyncPayloadJob> AsyncJobs;
-  /// One payload validated exactly as the engine's inline
-  /// first-execution path does it (worker-side host work only).
-  static dbi::ReadyTrace validatePayload(const CacheFileView &View,
-                                         const AsyncPayloadJob &JD);
-  /// Shared with the engine (consumer) and the pool workers.
-  std::shared_ptr<dbi::TraceInstallQueue> Queue;
 
   /// Outcome slot for a background finalize (defined in Session.cpp).
   struct FinalizeState;

@@ -197,11 +197,6 @@ std::vector<uint8_t> replay::serializeLog(const RecordedRun &Run) {
     Body.writeU8(Q.Code);
     Body.writeString(Q.Detail);
   }
-  // Schedule diagnostics.
-  Body.writeU64(Run.Schedule.ChunksPublished);
-  Body.writeU64(Run.Schedule.ChunksClaimed);
-  Body.writeU64(Run.Schedule.ChunksWithdrawn);
-  Body.writeU64(Run.Schedule.ChunksInFlightSkipped);
   // Trailer.
   writeStats(Body, Run.Stats);
   writeRunResult(Body, Run.Run);
@@ -288,10 +283,6 @@ ErrorOr<RecordedRun> replay::deserializeLog(
     Q.Detail = Body.readString();
     Run.Quarantines.push_back(std::move(Q));
   }
-  Run.Schedule.ChunksPublished = Body.readU64();
-  Run.Schedule.ChunksClaimed = Body.readU64();
-  Run.Schedule.ChunksWithdrawn = Body.readU64();
-  Run.Schedule.ChunksInFlightSkipped = Body.readU64();
   Run.Stats = readStats(Body);
   Run.Run = readRunResult(Body);
   Run.MemoryDigest = Body.readU64();

@@ -16,9 +16,9 @@
 /// replay asserts bit-identical.
 ///
 /// Deliberately *not* recorded (see DESIGN.md "Record & replay"):
-/// host wall-clock, thread interleavings (the PR 4 invariant makes
-/// engine results independent of them; the install queue's outcomes are
-/// kept as diagnostics only), host paths inside degrade/status messages
+/// host wall-clock, thread interleavings (engine results are
+/// independent of them: every modeled charge is made on the engine
+/// thread), host paths inside degrade/status messages
 /// (compared by presence, not bytes), and the written-back cache (an
 /// output, not an input).
 ///
@@ -33,7 +33,6 @@
 #define PCC_REPLAY_LOG_H
 
 #include "dbi/Stats.h"
-#include "persist/RecordingHooks.h"
 #include "support/Error.h"
 #include "support/FaultInjector.h"
 #include "vm/Interpreter.h"
@@ -50,7 +49,8 @@ inline constexpr uint32_t LogMagic = 0x52524350;
 /// Bump on any layout change to the body or trailer.
 /// v2: EngineStats gained the certificate counters (CertsChecked,
 /// CertChecksFailed, ProofsReplayed).
-inline constexpr uint32_t LogVersion = 2;
+/// v3: the four install-queue schedule diagnostics left the body.
+inline constexpr uint32_t LogVersion = 3;
 
 /// The run configuration knobs that affect engine-visible results.
 struct RecordedConfig {
@@ -104,8 +104,6 @@ struct RecordedRun {
   std::vector<uint8_t>
       FaultDecisions[static_cast<size_t>(FaultOp::OpCount)];
   std::vector<RecordedQuarantine> Quarantines;
-  /// Install-queue scheduling outcomes (diagnostics; never asserted).
-  persist::ScheduleOutcomes Schedule;
 
   /// \name Trailer: the expected results replay must reproduce.
   /// @{

@@ -2,6 +2,7 @@
 
 #include "replay/Recorder.h"
 
+#include "persist/RecordingHooks.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -65,12 +66,6 @@ public:
     Quarantines.push_back(std::move(Q));
   }
 
-  void onScheduleOutcomes(
-      const persist::ScheduleOutcomes &Outcomes) override {
-    std::lock_guard<std::mutex> Guard(Mutex);
-    Schedule = Outcomes;
-  }
-
   std::string logName() const override { return LogName; }
 
   void noteFaultDecision(FaultOp Op, bool Failed) {
@@ -82,7 +77,6 @@ public:
     std::lock_guard<std::mutex> Guard(Mutex);
     Run.Caches = std::move(Caches);
     Run.Quarantines = std::move(Quarantines);
-    Run.Schedule = Schedule;
     for (size_t Op = 0;
          Op != static_cast<size_t>(FaultOp::OpCount); ++Op)
       Run.FaultDecisions[Op] = std::move(Decisions[Op]);
@@ -93,7 +87,6 @@ private:
   std::mutex Mutex;
   std::vector<RecordedCache> Caches;
   std::vector<RecordedQuarantine> Quarantines;
-  persist::ScheduleOutcomes Schedule;
   std::vector<uint8_t>
       Decisions[static_cast<size_t>(FaultOp::OpCount)];
 };

@@ -9,10 +9,10 @@
 /// Drives one persistent engine run while capturing every
 /// nondeterministic input into a RecordedRun: the recorder installs
 /// itself as the process-global persist::RecordingHooks (cache bytes,
-/// consumed tier, quarantine decisions, install-queue outcomes) and as
-/// the FaultInjector's decision observer (per-op fault streams), wraps
-/// the loader's module-mapping callback (load bases under ASLR), and
-/// snapshots the armed fault plan before the run starts.
+/// consumed tier, quarantine decisions) and as the FaultInjector's
+/// decision observer (per-op fault streams), wraps the loader's
+/// module-mapping callback (load bases under ASLR), and snapshots the
+/// armed fault plan before the run starts.
 ///
 /// Recording is one-at-a-time per process (the hooks are global);
 /// recordRun() enforces the attach/detach pairing even on error paths.

@@ -4,6 +4,7 @@
 
 #include "dbi/Engine.h"
 #include "persist/DirectoryStore.h"
+#include "persist/RecordingHooks.h"
 #include "persist/TieredStore.h"
 #include "replay/Recorder.h"
 #include "support/FaultInjector.h"
@@ -75,23 +76,16 @@ public:
     Q.Detail = Detail;
     Quarantines.push_back(std::move(Q));
   }
-  void onScheduleOutcomes(
-      const persist::ScheduleOutcomes &Outcomes) override {
-    std::lock_guard<std::mutex> Guard(Mutex);
-    Schedule = Outcomes;
-  }
   std::string logName() const override { return ""; }
 
   void moveInto(ReplayOutcome &Out) {
     std::lock_guard<std::mutex> Guard(Mutex);
     Out.Quarantines = std::move(Quarantines);
-    Out.Schedule = Schedule;
   }
 
 private:
   std::mutex Mutex;
   std::vector<RecordedQuarantine> Quarantines;
-  persist::ScheduleOutcomes Schedule;
 };
 
 } // namespace

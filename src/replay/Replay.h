@@ -58,8 +58,6 @@ struct ReplayOutcome {
   uint64_t MemoryDigest = 0;
   /// Quarantine decisions the replay made, in event order.
   std::vector<RecordedQuarantine> Quarantines;
-  /// Install-queue outcomes of this leg (diagnostics).
-  persist::ScheduleOutcomes Schedule;
   /// Modules whose replayed base differed from the recording
   /// ("name: recorded 0x…, replayed 0x…"); any entry is a divergence.
   std::vector<std::string> BaseMismatches;

@@ -2,6 +2,8 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/StringUtils.h"
+
 #include <atomic>
 #include <memory>
 
@@ -161,4 +163,20 @@ void ThreadPool::parallelFor(size_t N,
 size_t ThreadPool::defaultWorkerCount() {
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw > 1 ? Hw - 1 : 1;
+}
+
+ErrorOr<unsigned> pcc::support::parseWorkerCount(const char *Text) {
+  unsigned Value = 0;
+  const char *C = Text;
+  for (; *C >= '0' && *C <= '9'; ++C) {
+    Value = Value * 10 + static_cast<unsigned>(*C - '0');
+    if (Value > MaxWorkerCount)
+      break;
+  }
+  if (C == Text || *C != '\0')
+    return Status::error(ErrorCode::InvalidArgument,
+                         formatString("worker count must be a decimal "
+                                      "number in 0..%u, got '%s'",
+                                      MaxWorkerCount, Text));
+  return Value;
 }

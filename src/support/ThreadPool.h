@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool shared by the persistence pipeline: async
-/// prime payload validation, background finalize publishing, and the
-/// parallel maintenance scans (pcc-dbcheck, findCompatible, stats).
+/// A fixed-size worker pool shared by the persistence pipeline: the
+/// background finalize publish and the parallel maintenance scans
+/// (pcc-dbcheck, findCompatible, stats).
 ///
 /// Host threads here are an implementation vehicle, never part of the
 /// simulation: the cost model charges modeled cycles on the engine
@@ -24,6 +24,8 @@
 
 #ifndef PCC_SUPPORT_THREADPOOL_H
 #define PCC_SUPPORT_THREADPOOL_H
+
+#include "support/Error.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -100,6 +102,15 @@ private:
   bool ShuttingDown = false;
   std::atomic<size_t> BackgroundWorkers{0}; ///< Demotions that stuck.
 };
+
+/// Largest worker count a tool accepts on its command line (--jobs N).
+inline constexpr unsigned MaxWorkerCount = 256;
+
+/// Parses a --jobs value: decimal digits only, 0 through
+/// MaxWorkerCount. Anything else (empty, signs, hex, trailing junk, an
+/// out-of-range or overflowing number) is InvalidArgument, so a typo
+/// can neither silently run with zero workers nor spawn a huge pool.
+ErrorOr<unsigned> parseWorkerCount(const char *Text);
 
 } // namespace support
 } // namespace pcc

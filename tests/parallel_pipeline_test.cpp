@@ -1,9 +1,8 @@
 //===- tests/parallel_pipeline_test.cpp - concurrency suite ---------------===//
 //
-// The parallel persistence pipeline: ThreadPool semantics, the
-// TraceInstallQueue worker/engine hand-off, determinism of async prime
-// and background finalize across worker counts (EngineStats must be
-// bit-identical for --jobs 1/4/16), fault-injected background
+// The parallel persistence pipeline: ThreadPool semantics, determinism
+// of the background finalize across worker counts (EngineStats must be
+// bit-identical for --jobs 0/4/16), fault-injected background
 // publishes, and the parallel maintenance scans (checkDatabase,
 // findCompatible, stats) against their serial baselines.
 //
@@ -13,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dbi/InstallQueue.h"
 #include "persist/CacheDatabase.h"
 #include "persist/DbCheck.h"
 #include "persist/DirectoryStore.h"
@@ -164,129 +162,7 @@ TEST(ThreadPool, DestructorDrainsPendingTasks) {
 }
 
 //===----------------------------------------------------------------------===//
-// TraceInstallQueue hand-off protocol.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-dbi::ReadyTrace makeReady(uint32_t Start) {
-  dbi::ReadyTrace R;
-  R.GuestStart = Start;
-  R.CrcOk = true;
-  return R;
-}
-
-std::vector<dbi::ReadyTrace> makeReadyChunk(std::vector<uint32_t> Starts) {
-  std::vector<dbi::ReadyTrace> Out;
-  for (uint32_t Start : Starts)
-    Out.push_back(makeReady(Start));
-  return Out;
-}
-
-} // namespace
-
-TEST(TraceInstallQueue, WorkersPublishAndEngineDrains) {
-  dbi::TraceInstallQueue Q;
-  for (uint32_t Start : {0x100u, 0x200u, 0x300u})
-    Q.addJob({Start}, [Start] { return makeReadyChunk({Start}); });
-  EXPECT_EQ(Q.jobCount(), 3u);
-  while (Q.runNextJob()) {
-  }
-  auto Ready = Q.drainReady();
-  ASSERT_EQ(Ready.size(), 3u);
-  EXPECT_TRUE(Q.drainReady().empty()); // Drain consumes.
-}
-
-TEST(TraceInstallQueue, TakeForWithdrawsUnclaimedJobs) {
-  dbi::TraceInstallQueue Q;
-  std::atomic<int> Ran{0};
-  Q.addJob({0x100}, [&Ran] {
-    Ran.fetch_add(1);
-    return makeReadyChunk({0x100});
-  });
-  // Unclaimed: the engine withdraws the job and validates inline — the
-  // job function must never run afterwards.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  EXPECT_FALSE(Q.runNextJob());
-  EXPECT_EQ(Ran.load(), 0);
-  // And the result slot stays consumed.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-}
-
-TEST(TraceInstallQueue, TakeForReturnsPublishedResultOnce) {
-  dbi::TraceInstallQueue Q;
-  Q.addJob({0x100}, [] { return makeReadyChunk({0x100}); });
-  EXPECT_TRUE(Q.runNextJob());
-  auto R = Q.takeFor(0x100);
-  ASSERT_EQ(R.size(), 1u);
-  EXPECT_EQ(R[0].GuestStart, 0x100u);
-  EXPECT_TRUE(R[0].CrcOk);
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  EXPECT_TRUE(Q.takeFor(0x999).empty()); // Never existed.
-}
-
-TEST(TraceInstallQueue, TakeForReturnsWholeChunkForAnyMember) {
-  dbi::TraceInstallQueue Q;
-  Q.addJob({0x100, 0x200, 0x300},
-           [] { return makeReadyChunk({0x100, 0x200, 0x300}); });
-  EXPECT_EQ(Q.jobCount(), 1u);
-  EXPECT_TRUE(Q.runNextJob());
-  // Asking for any chunk member hands over the whole published chunk —
-  // the engine stashes the mates for their own first executions.
-  auto R = Q.takeFor(0x200);
-  ASSERT_EQ(R.size(), 3u);
-  EXPECT_EQ(R[0].GuestStart, 0x100u);
-  EXPECT_EQ(R[1].GuestStart, 0x200u);
-  EXPECT_EQ(R[2].GuestStart, 0x300u);
-  // The chunk is consumed as a unit.
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  EXPECT_TRUE(Q.takeFor(0x300).empty());
-  EXPECT_TRUE(Q.drainReady().empty());
-}
-
-TEST(TraceInstallQueue, TakeForNeverBlocksOnAnInFlightJob) {
-  dbi::TraceInstallQueue Q;
-  std::atomic<bool> Entered{false};
-  std::atomic<bool> Release{false};
-  Q.addJob({0x100}, [&Entered, &Release] {
-    Entered.store(true);
-    while (!Release.load())
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return makeReadyChunk({0x100});
-  });
-  std::thread Worker([&Q] { Q.runNextJob(); });
-  while (!Entered.load())
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  // The job is claimed and its worker deliberately stuck: takeFor must
-  // return empty instead of waiting (the engine validates inline; a
-  // background-priority worker must never be able to stall the run).
-  EXPECT_TRUE(Q.takeFor(0x100).empty());
-  Release.store(true);
-  Worker.join();
-  // The late result still publishes; the engine would drain it and
-  // ignore it against the already-materialized trace.
-  auto Ready = Q.drainReady();
-  ASSERT_EQ(Ready.size(), 1u);
-  EXPECT_EQ(Ready[0].GuestStart, 0x100u);
-}
-
-TEST(TraceInstallQueue, CancelPendingStopsWorkersAndQuiesces) {
-  dbi::TraceInstallQueue Q;
-  std::atomic<int> Ran{0};
-  for (uint32_t Start = 0; Start < 8; ++Start)
-    Q.addJob({0x100 + Start}, [&Ran, Start] {
-      Ran.fetch_add(1);
-      return makeReadyChunk({0x100 + Start});
-    });
-  Q.cancelPending();
-  EXPECT_FALSE(Q.runNextJob());
-  Q.waitInFlight(); // Nothing in flight: returns immediately.
-  EXPECT_EQ(Ran.load(), 0);
-  EXPECT_TRUE(Q.drainReady().empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Async prime determinism: EngineStats bit-identical across job counts.
+// Worker-count determinism: EngineStats bit-identical across job counts.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -325,7 +201,7 @@ warmRunWithWorkers(const TinyWorkload &W, const std::vector<uint8_t> &Input,
 
 } // namespace
 
-TEST(AsyncPrime, StatsBitIdenticalAcrossWorkerCounts) {
+TEST(WorkerPool, StatsBitIdenticalAcrossWorkerCounts) {
   TinyWorkload W = makeTinyWorkload(6, 3);
   auto Input = W.allSlotsInput(3);
 
@@ -333,13 +209,11 @@ TEST(AsyncPrime, StatsBitIdenticalAcrossWorkerCounts) {
   ASSERT_TRUE(Jobs1.ok()) << Jobs1.status().toString();
   EXPECT_TRUE(Jobs1->Prime.CacheFound);
   EXPECT_GT(Jobs1->Stats.TracesReused, 0u);
-  EXPECT_EQ(Jobs1->Prime.PayloadJobsQueued, 0u);
 
   for (size_t Workers : {4u, 16u}) {
     auto JobsN = warmRunWithWorkers(W, Input, Workers);
     ASSERT_TRUE(JobsN.ok()) << JobsN.status().toString();
     EXPECT_TRUE(JobsN->Prime.CacheFound);
-    EXPECT_GT(JobsN->Prime.PayloadJobsQueued, 0u);
     std::string Label = "workers=" + std::to_string(Workers);
     EXPECT_TRUE(Jobs1->Run.observablyEquals(JobsN->Run)) << Label;
     expectStatsEqual(Jobs1->Stats, JobsN->Stats, Label);
@@ -350,10 +224,10 @@ TEST(AsyncPrime, StatsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(AsyncPrime, StatsBitIdenticalUnderPicRebase) {
-  // Different warm-run library base: every payload job carries a
-  // non-zero rebase delta, exercising the worker-side immediate rebase
-  // against the engine's inline one.
+TEST(WorkerPool, StatsBitIdenticalUnderPicRebase) {
+  // Different warm-run library base: every persisted trace carries a
+  // non-zero rebase delta, and the background finalize harvests the
+  // rebased pool bytes.
   TinyWorkload W = makeTinyWorkload(4, 4);
   auto Input = W.allSlotsInput(2);
 
@@ -367,26 +241,6 @@ TEST(AsyncPrime, StatsBitIdenticalUnderPicRebase) {
   ASSERT_TRUE(Jobs8.ok()) << Jobs8.status().toString();
   EXPECT_TRUE(Jobs1->Run.observablyEquals(Jobs8->Run));
   expectStatsEqual(Jobs1->Stats, Jobs8->Stats, "pic-rebase");
-}
-
-TEST(AsyncPrime, EagerValidateMaterializesEverythingAtPrime) {
-  TinyWorkload W = makeTinyWorkload(4, 0);
-  auto Input = W.allSlotsInput(2);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, Db);
-  ASSERT_TRUE(Cold.ok());
-
-  PersistOptions Opts;
-  Opts.EagerValidate = true;
-  auto Warm = workloads::runPersistent(W.Registry, W.App, Input, Db, Opts);
-  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
-  EXPECT_TRUE(Warm->Prime.CacheFound);
-  // Every installed payload was validated up front, and the guest
-  // still behaves identically.
-  EXPECT_EQ(Warm->Stats.TracePayloadsValidated,
-            Warm->Prime.TracesInstalled);
-  EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
 }
 
 //===----------------------------------------------------------------------===//

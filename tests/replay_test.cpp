@@ -133,6 +133,15 @@ TEST(ReplayLog, TamperedLogsAreRejectedWithTheRightErrorClass) {
   EXPECT_EQ(deserializeLog(Bad).status().code(),
             ErrorCode::VersionMismatch);
 
+  // A v2 log still carries the four install-queue schedule counters
+  // that v3 dropped; read with the v3 layout it would misparse the
+  // stats trailer, so the version gate must refuse it up front.
+  ASSERT_EQ(LogVersion, 3u);
+  Bad = Good;
+  Bad[4] = 2;
+  EXPECT_EQ(deserializeLog(Bad).status().code(),
+            ErrorCode::VersionMismatch);
+
   // A log recorded by a different engine build is not replayable here.
   Bad = Good;
   Bad[8] ^= 0xff; // Engine-version hash.

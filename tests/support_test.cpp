@@ -7,6 +7,7 @@
 #include "support/Random.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
+#include "support/ThreadPool.h"
 
 #include "TestUtils.h"
 
@@ -250,6 +251,28 @@ TEST(StringUtils, FormatByteSize) {
   EXPECT_EQ(formatByteSize(512), "512 B");
   EXPECT_EQ(formatByteSize(2048), "2.0 KiB");
   EXPECT_EQ(formatByteSize(3u << 20), "3.0 MiB");
+}
+
+TEST(WorkerCount, ParsesOnlyDecimalCountsUpToTheCeiling) {
+  // Parse only: no pool is built, so no thread is started.
+  using support::parseWorkerCount;
+  auto Rejected = [](const char *Text) {
+    auto N = parseWorkerCount(Text);
+    return !N && N.status().code() == ErrorCode::InvalidArgument;
+  };
+  EXPECT_TRUE(Rejected(""));
+  EXPECT_TRUE(Rejected("abc"));
+  EXPECT_TRUE(Rejected("4x"));
+  EXPECT_TRUE(Rejected("-1"));
+  EXPECT_TRUE(Rejected("0x10"));
+  EXPECT_TRUE(Rejected("257"));
+  EXPECT_TRUE(Rejected("4294967296")); // 2^32: must not wrap to 0.
+  ASSERT_TRUE(parseWorkerCount("0").ok());
+  EXPECT_EQ(*parseWorkerCount("0"), 0u);
+  ASSERT_TRUE(parseWorkerCount("16").ok());
+  EXPECT_EQ(*parseWorkerCount("16"), 16u);
+  ASSERT_TRUE(parseWorkerCount("256").ok());
+  EXPECT_EQ(*parseWorkerCount("256"), support::MaxWorkerCount);
 }
 
 TEST(TablePrinter, RendersAlignedColumns) {

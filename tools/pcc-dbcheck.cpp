@@ -65,7 +65,6 @@
 #include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -160,9 +159,15 @@ int main(int Argc, char **Argv) {
       Restore = Argv[++I];
     else if (std::strcmp(Argv[I], "--replay") == 0 && I + 1 < Argc)
       Replay = Argv[++I];
-    else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      Jobs = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 0));
-    else if (std::strcmp(Argv[I], "--deep") == 0)
+    else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
+      auto N = support::parseWorkerCount(Argv[++I]);
+      if (!N) {
+        std::fprintf(stderr, "pcc-dbcheck: --jobs: %s\n",
+                     N.status().message().c_str());
+        return 2;
+      }
+      Jobs = *N;
+    } else if (std::strcmp(Argv[I], "--deep") == 0)
       Deep = true;
     else if (std::strcmp(Argv[I], "--module") == 0 && I + 1 < Argc)
       ModulePaths.push_back(Argv[++I]);
@@ -184,8 +189,9 @@ int main(int Argc, char **Argv) {
           "  --quarantine       list quarantined caches with reasons\n"
           "  --restore NAME     move a quarantined cache back in place\n"
           "  --purge-quarantine delete every quarantined cache\n"
-          "  --jobs N           check N cache files in parallel (the\n"
-          "                     report is identical for any N)\n"
+          "  --jobs N           check N cache files in parallel, N in\n"
+          "                     0..256 (the report is identical for\n"
+          "                     any N)\n"
           "  --deep             semantic verification: prove every\n"
           "                     CRC-intact trace effect-equivalent to\n"
           "                     its module's guest code — certificates\n"

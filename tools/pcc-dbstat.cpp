@@ -88,9 +88,15 @@ int main(int Argc, char **Argv) {
     else if (std::strcmp(Argv[I], "--shrink-to") == 0 && I + 1 < Argc) {
       Shrink = true;
       MaxBytes = std::strtoull(Argv[++I], nullptr, 0);
-    } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc)
-      Jobs = static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 0));
-    else if (std::strcmp(Argv[I], "--help") == 0) {
+    } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
+      auto N = support::parseWorkerCount(Argv[++I]);
+      if (!N) {
+        std::fprintf(stderr, "pcc-dbstat: --jobs: %s\n",
+                     N.status().message().c_str());
+        return 2;
+      }
+      Jobs = *N;
+    } else if (std::strcmp(Argv[I], "--help") == 0) {
       std::printf(
           "usage: pcc-dbstat DIR [--header-only | --shrink-to BYTES | "
           "--clear | --locks | --heat | --gens] [--l2 DIR2] [--jobs N]\n"
@@ -115,8 +121,8 @@ int main(int Argc, char **Argv) {
           "                 certificate coverage of the promoted bodies\n"
           "  --l2 DIR2      tiered view: DIR is the local L1, DIR2 the\n"
           "                 remote L2; prints one summary line per tier\n"
-          "  --jobs N       scan N files in parallel (stats and\n"
-          "                 --header-only; output is identical for "
+          "  --jobs N       scan N files in parallel, N in 0..256 (stats\n"
+          "                 and --header-only; output is identical for "
           "any N)\n");
       return 0;
     } else if (!Dir)

@@ -167,9 +167,17 @@ int main(int Argc, char **Argv) {
       if (V)
         Opts.ZipfS = std::strtod(V, nullptr);
     } else if (Arg == "--jobs") {
-      uint32_t N = 0;
-      Ok = nextU32(N);
-      Jobs = N;
+      const char *V = next();
+      Ok = V != nullptr;
+      if (V) {
+        auto N = support::parseWorkerCount(V);
+        if (!N) {
+          std::fprintf(stderr, "pcc-fleetsim: --jobs: %s\n",
+                       N.status().message().c_str());
+          return 2;
+        }
+        Jobs = *N;
+      }
     } else if (Arg == "--no-baseline")
       Baseline = false;
     else if (Arg == "--opt-tier")

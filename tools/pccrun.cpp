@@ -55,12 +55,12 @@
 //                          e.g. "enospc:0.1,fsync:0.1,lock:0.25");
 //                          armed after guest modules are loaded, so
 //                          only cache-database I/O is subjected
-//     --jobs N             worker threads for the persistence pipeline
-//                          (persist mode): async payload validation at
-//                          prime and a background cache publish at
-//                          finalize. N <= 1 keeps everything on the
-//                          main thread; results are identical either
-//                          way
+//     --jobs N             worker threads (0..256) for the background
+//                          finalize (persist mode): promotion,
+//                          serialization and the cache publish run off
+//                          the main thread. N <= 1 keeps everything on
+//                          the main thread; results are identical
+//                          either way
 //     --record FILE        record the run's nondeterministic inputs
 //                          (modules, input, load bases, cache bytes
 //                          served, fault decisions) plus its results
@@ -119,8 +119,8 @@ int usage(int Code) {
       "(persist)\n"
       "  --validate   deep semantic trace verification (persist)\n"
       "  --fault-plan PLAN  (e.g. enospc:0.1,fsync:0.1,lock:0.25)\n"
-      "  --jobs N     persistence pipeline worker threads (persist "
-      "mode)\n"
+      "  --jobs N     background finalize worker threads, 0..256 "
+      "(persist mode)\n"
       "  --record FILE  record the run into a .pcrr replay log\n"
       "  --replay FILE  re-drive a recorded run; exit 3 on divergence, "
       "4 on a bad log\n"
@@ -353,10 +353,16 @@ int main(int Argc, char **Argv) {
       } else
         return usage(2);
     } else if (Arg == "--jobs") {
-      if (const char *V = next())
-        Jobs = static_cast<unsigned>(std::strtoul(V, nullptr, 0));
-      else
+      const char *V = next();
+      if (!V)
         return usage(2);
+      auto N = support::parseWorkerCount(V);
+      if (!N) {
+        std::fprintf(stderr, "pccrun: --jobs: %s\n",
+                     N.status().message().c_str());
+        return usage(2);
+      }
+      Jobs = *N;
     } else if (Arg == "--aslr") {
       if (const char *V = next()) {
         AslrSeed = std::strtoull(V, nullptr, 0);
@@ -513,10 +519,9 @@ int main(int Argc, char **Argv) {
     Opts.ValidateSemantic = Validate;
     Opts.OptTier = OptTier;
     // The pool outlives the run: runPersistent's session waits for the
-    // background publish and any in-flight payload jobs before it
-    // returns, so destruction order here is safe. Background priority:
-    // the pipeline exists to hide latency, never to compete with the
-    // engine thread for the CPU.
+    // background publish before it returns, so destruction order here
+    // is safe. Background priority: the finalize workers exist to hide
+    // latency, never to compete with the engine thread for the CPU.
     std::unique_ptr<support::ThreadPool> Pool;
     if (Jobs > 1) {
       Pool = std::make_unique<support::ThreadPool>(Jobs,
@@ -576,9 +581,8 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     if (Jobs > 1)
-      std::printf("persistence pipeline: %u worker(s), %u payload "
-                  "job(s) queued at prime\n",
-                  Jobs, R->Prime.PayloadJobsQueued);
+      std::printf("persistence pipeline: %u worker(s) for the "
+                  "background finalize\n", Jobs);
     std::printf("persistent cache: %s%s\n",
                 R->Prime.CacheFound ? "found " : "not found",
                 R->Prime.CacheFound
