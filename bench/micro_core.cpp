@@ -386,12 +386,16 @@ BENCHMARK(BM_XipPrime)->Arg(0)->Arg(1);
 /// CRCs and publishes inline; Arg 1 snapshots the resident traces and
 /// hands the publish to the worker pool, so only the snapshot remains on
 /// the critical path (wait() — the durability barrier — is excluded from
-/// the timed region, as an engine would overlap it with teardown).
+/// the timed region, as an engine would overlap it with teardown). A
+/// same-input warm run would learn nothing and skip the write-back, so
+/// each session writes to an explicit path, which always publishes; the
+/// fixture's slot stays as the cold run left it.
 void BM_FinalizeBackground(benchmark::State &State) {
   PrimeFixture &F = primeFixture();
   const bool Background = State.range(0) != 0;
   std::unique_ptr<support::ThreadPool> Pool;
   persist::PersistOptions Opts;
+  Opts.StoreAsPath = F.Dir.path() + "/finalize-bench.pcc";
   if (Background) {
     Pool = std::make_unique<support::ThreadPool>(4, /*Background=*/true);
     Opts.Pool = Pool.get();
@@ -474,16 +478,17 @@ void BM_InstallView(benchmark::State &State) {
 }
 BENCHMARK(BM_InstallView)->UseManualTime();
 
-/// The write-back stage of a warm GUI session: finalize() after a full
-/// warm run, inline — snapshot, carry-through, layout sort, serialize
-/// and publish into the in-memory store.
-void BM_FinalizeWriteBack(benchmark::State &State) {
-  GuiStageFixture &F = guiStageFixture();
+/// Times finalize() after a full warm GUI run; \p Opts picks whether it
+/// publishes. Returns the last session's write-back decision.
+persist::WriteBackDecision timeWarmFinalize(benchmark::State &State,
+                                            GuiStageFixture &F,
+                                            const persist::PersistOptions &Opts) {
+  persist::WriteBackDecision Last;
   for (auto _ : State) {
     vm::Machine M = F.machine();
     dbi::Engine Engine(M, nullptr);
-    persist::PersistentSession Session(F.Db);
-    bench::mustOk(Session.prime(Engine), "prime for the write-back bench");
+    persist::PersistentSession Session(F.Db, Opts);
+    bench::mustOk(Session.prime(Engine), "prime for a finalize bench");
     benchmark::DoNotOptimize(Engine.run());
     auto Start = std::chrono::steady_clock::now();
     Status Finalized = Session.finalize(Engine);
@@ -492,12 +497,42 @@ void BM_FinalizeWriteBack(benchmark::State &State) {
       std::abort();
     State.SetIterationTime(
         std::chrono::duration<double>(End - Start).count());
+    Last = Session.writeBackDecision();
   }
-  auto Stats = bench::mustOk(F.Store->stats(), "write-back bench stats");
-  State.counters["traces_written"] = static_cast<double>(Stats.Traces);
-  State.counters["bytes_serialized"] = static_cast<double>(Stats.DiskBytes);
+  return Last;
+}
+
+/// The write-back stage of a warm GUI session that publishes: finalize()
+/// inline — snapshot, carry-through, layout sort, serialize and publish
+/// into the in-memory store. The session primes from the fixture's slot
+/// and writes to an explicit ref (a same-input rerun of the slot itself
+/// would learn nothing and skip), so every iteration writes the same
+/// file and the slot stays as the cold run left it.
+void BM_FinalizeWriteBack(benchmark::State &State) {
+  GuiStageFixture &F = guiStageFixture();
+  persist::PersistOptions Opts;
+  Opts.StoreAsPath = "<finalize-bench>";
+  if (!timeWarmFinalize(State, F, Opts).Published)
+    std::abort();
+  auto Written = bench::mustOk(F.Store->loadRef(Opts.StoreAsPath),
+                               "write-back bench output");
+  State.counters["traces_written"] =
+      static_cast<double>(Written.Traces.size());
+  State.counters["bytes_serialized"] =
+      static_cast<double>(Written.serializedSize());
 }
 BENCHMARK(BM_FinalizeWriteBack)->UseManualTime();
+
+/// finalize() of a same-input warm GUI session: the write-back decision
+/// finds nothing learned and skips the whole write-back. The timed
+/// region is a few microseconds of a session of milliseconds, so the
+/// iteration count is fixed rather than grown to the minimum time.
+void BM_FinalizeNothingLearned(benchmark::State &State) {
+  GuiStageFixture &F = guiStageFixture();
+  if (timeWarmFinalize(State, F, persist::PersistOptions()).Published)
+    std::abort();
+}
+BENCHMARK(BM_FinalizeNothingLearned)->UseManualTime()->Iterations(300);
 
 /// Host-side cost of one cache open through the tiered store. Arg 0 is
 /// an L1 hit, Arg 1 forces a read-through fetch from L2 on every open

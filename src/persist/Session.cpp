@@ -319,13 +319,19 @@ void PersistentSession::validateModules(
   ModuleLoadedNow.assign(NumModules, false);
   Delta.assign(NumModules, 0);
   Region.assign(NumModules, {0, 0});
+  // finalize() writes the image's keys in image order: the table is
+  // unchanged when those are exactly the persisted keys.
+  ModuleTableUnchanged = NumModules == Image.Modules.size();
   for (size_t I = 0; I != NumModules; ++I) {
     const ModuleKey &Old = Persisted[I];
     const LoadedModule *Now = findLoadedByPath(Image, Old.Path);
-    if (!Now)
+    if (!Now) {
+      ModuleTableUnchanged = false;
       continue; // Module absent this run; its traces stay on disk.
+    }
     ModuleLoadedNow[I] = true;
     ModuleKey NowKey = ModuleKey::compute(*Now);
+    ModuleTableUnchanged &= Now == &Image.Modules[I] && NowKey == Old;
     bool Match = Opts.PositionIndependent
                      ? Old.matchesIgnoringBase(NowKey)
                      : Old.matches(NowKey);
@@ -530,7 +536,70 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     }
   }
   Result.XipInstalled = Xip;
+  InstalledWholeFile =
+      Result.TracesSkipped == 0 && Result.TracesInstalled == View.numTraces();
   return Status::success();
+}
+
+const char *pcc::persist::describe(WriteBackReason Reason) {
+  switch (Reason) {
+  case WriteBackReason::NotFinalized:
+    return "not finalized";
+  case WriteBackReason::Disabled:
+    return "write-back disabled";
+  case WriteBackReason::NothingLearned:
+    return "nothing learned";
+  case WriteBackReason::NoPrimedCache:
+    return "no primed cache";
+  case WriteBackReason::DonorCache:
+    return "primed from a donor cache";
+  case WriteBackReason::ExplicitTarget:
+    return "explicit store path";
+  case WriteBackReason::TracesCompiled:
+    return "traces compiled";
+  case WriteBackReason::TracesNotResident:
+    return "primed traces not resident";
+  case WriteBackReason::ModuleTableChanged:
+    return "module table changed";
+  case WriteBackReason::HeaderChanged:
+    return "file header changed";
+  case WriteBackReason::PromotionDue:
+    return "promotion due";
+  }
+  return "unknown";
+}
+
+WriteBackReason
+PersistentSession::decideWriteBack(const dbi::Engine &Engine) const {
+  if (!LoadedView)
+    return WriteBackReason::NoPrimedCache;
+  if (!LoadedWasOwn)
+    return WriteBackReason::DonorCache;
+  if (!Opts.StoreAsPath.empty())
+    return WriteBackReason::ExplicitTarget;
+  const dbi::EngineStats &Stats = Engine.stats();
+  if (Stats.TracesCompiled != 0)
+    return WriteBackReason::TracesCompiled;
+  if (!InstalledWholeFile || Stats.CacheFlushes != 0 ||
+      Stats.TracesEvicted != 0 || Stats.TracesDroppedCorrupt != 0)
+    return WriteBackReason::TracesNotResident;
+  if (!ModuleTableUnchanged)
+    return WriteBackReason::ModuleTableChanged;
+  const uint8_t SpecBits = specBitsOf(Engine.spec());
+  if (LoadedView->executeInPlace() !=
+          (Opts.ExecuteInPlace && Opts.PositionIndependent) ||
+      LoadedView->positionIndependent() != Opts.PositionIndependent ||
+      LoadedView->specBits() != SpecBits)
+    return WriteBackReason::HeaderChanged;
+  // finalize()'s promotion candidates. Every trace of the file is
+  // resident here (the checks above), so the resident scan sees them all.
+  if (Opts.OptTier && !Engine.tool() && SpecBits == 0)
+    for (const auto &T : Engine.cache().traces())
+      if (T->optGen() < OptMaxGen &&
+          accumulatedHeat(T->persistedHeat(), T->executionCount()) >=
+              OptHeatThreshold)
+        return WriteBackReason::PromotionDue;
+  return WriteBackReason::NothingLearned;
 }
 
 namespace {
@@ -810,7 +879,15 @@ struct PersistentSession::FinalizeState {
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
-  if (!Opts.WriteBack)
+  if (!Opts.WriteBack) {
+    Decision = {false, WriteBackReason::Disabled};
+    return Status::success();
+  }
+  // Decided before any per-trace copy: a run that learned nothing builds
+  // no snapshot, pays no write charge and leaves the slot as it is.
+  const WriteBackReason Reason = decideWriteBack(Engine);
+  Decision = {Reason != WriteBackReason::NothingLearned, Reason};
+  if (!Decision.Published)
     return Status::success();
 
   const loader::LoadedImage &Image = Engine.machine().image();
@@ -1223,6 +1300,7 @@ ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(
   if (!Waited.ok())
     return Waited;
   Result.Stats = Engine.stats();
+  Result.WriteBack = Session.writeBackDecision();
   // Include the cache write-back charged by finalize().
   Result.Run.Cycles = Result.Stats.totalCycles();
   return Result;

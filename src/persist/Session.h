@@ -17,11 +17,13 @@
 ///                install valid traces (unmaterialized, demand-paged)
 ///                and restore persisted trace links; invalid modules'
 ///                traces are dropped for retranslation.
-///   finalize() — after run(): write the resident traces back to the
-///                database, accumulating newly discovered translations
-///                into the persistent cache (Section 4.4) and carrying
-///                forward still-valid traces of modules not loaded by
-///                this particular run.
+///   finalize() — after run(): when the run learned something the
+///                primed file lacks, write the resident traces back to
+///                the database, accumulating newly discovered
+///                translations into the persistent cache (Section 4.4)
+///                and carrying forward still-valid traces of modules not
+///                loaded by this particular run. A run that learned
+///                nothing publishes nothing (see WriteBackReason).
 ///
 /// Inter-application persistence (Section 3.2.3 end): lookup ignores the
 /// application key and accepts a cache from any program instrumented
@@ -164,6 +166,43 @@ struct PrimeResult {
   uint64_t PayloadBytesCopied = 0;
 };
 
+/// Why finalize() published the session's snapshot or skipped it. The
+/// publish reasons are the material differences between what the run
+/// learned and the file it primed from, checked in this order; the
+/// first that holds is recorded. Accumulation adds the traces a run
+/// discovered (Section 3), so a run that discovered none — and changed
+/// nothing else the file records — has nothing to add: it writes
+/// nothing, the slot keeps its generation, and that run's executions do
+/// not enter the persisted heat.
+enum class WriteBackReason : uint8_t {
+  NotFinalized,   ///< finalize() has not run.
+  Disabled,       ///< PersistOptions::WriteBack is off.
+  NothingLearned, ///< Skipped: the snapshot would match the primed file.
+  // Publish reasons.
+  NoPrimedCache,      ///< Primed nothing.
+  DonorCache,         ///< Primed from another application's slot.
+  ExplicitTarget,     ///< Writes to PersistOptions::StoreAsPath.
+  TracesCompiled,     ///< Compiled a trace: novel, or retranslated after
+                      ///< a failed CRC, proof or quarantine.
+  TracesNotResident,  ///< Prime skipped an index entry, or a flush,
+                      ///< eviction or failed check dropped a trace.
+  ModuleTableChanged, ///< A module was invalidated, rebased, missing
+                      ///< from this run, or new to the file.
+  HeaderChanged,      ///< XIP, position independence or spec bits
+                      ///< differ from the primed file.
+  PromotionDue,       ///< An OptTier trace reached the promotion heat.
+};
+
+/// Human-readable form of \p Reason ("nothing learned", ...).
+const char *describe(WriteBackReason Reason);
+
+/// The write-back decision finalize() took. Kept outside EngineStats:
+/// it is an explanation, not a modeled quantity.
+struct WriteBackDecision {
+  bool Published = false;
+  WriteBackReason Reason = WriteBackReason::NotFinalized;
+};
+
 /// Brackets one engine run with persistent-cache reuse and generation.
 class PersistentSession {
 public:
@@ -185,10 +224,13 @@ public:
   ErrorOr<PrimeResult> prime(dbi::Engine &Engine);
 
   /// Writes the persistent cache for \p Engine's application after its
-  /// run. Requires a prior prime() on the same engine. The write goes
-  /// through the store's transactional publish: when a concurrent
-  /// session finalized the same key since prime(), the two caches are
-  /// merged rather than clobbered.
+  /// run, unless the run learned nothing the primed file lacks (see
+  /// WriteBackReason; the check reads only session state, EngineStats
+  /// and — for an OptTier session — the resident traces' heat). Requires
+  /// a prior prime() on the same engine. The write goes through the
+  /// store's transactional publish: when a concurrent session finalized
+  /// the same key since prime(), the two caches are merged rather than
+  /// clobbered.
   Status finalize(dbi::Engine &Engine);
 
   /// Durability barrier for the background finalize: blocks until its
@@ -202,6 +244,9 @@ public:
   /// Database slot key for this application/engine/tool (valid after
   /// prime()).
   uint64_t lookupKey() const { return LookupKey; }
+
+  /// What finalize() decided (NotFinalized before it runs).
+  const WriteBackDecision &writeBackDecision() const { return Decision; }
 
 private:
   ErrorOr<StoredCache> locateCache(dbi::Engine &Engine,
@@ -222,6 +267,9 @@ private:
   /// packed copy of the usable traces' raw code bytes. The two pools
   /// charge bit-identical modeled stats.
   Status installView(dbi::Engine &Engine, PrimeResult &Result);
+  /// The first material difference between what the run learned and
+  /// the primed file, or NothingLearned.
+  WriteBackReason decideWriteBack(const dbi::Engine &Engine) const;
 
   const CacheDatabase &Db;
   PersistOptions Opts;
@@ -237,6 +285,11 @@ private:
   std::shared_ptr<CacheFileView> LoadedView;
   std::vector<bool> ModuleValidated; ///< Per LoadedView module.
   std::vector<bool> ModuleLoadedNow; ///< Per LoadedView module.
+  /// The current image's module keys equal LoadedView's table, entry
+  /// for entry: nothing invalidated, rebased, missing or new.
+  bool ModuleTableUnchanged = false;
+  /// prime() installed every index entry of LoadedView.
+  bool InstalledWholeFile = false;
   /// Promoted traces installed by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
   /// in with the record (a span into LoadedView), or empty when none is
@@ -249,6 +302,7 @@ private:
   uint64_t EngineHash = 0;
   uint64_t ToolHash = 0;
   bool Primed = false;
+  WriteBackDecision Decision;
 };
 
 /// Tool hash used when the engine runs without a tool.
@@ -259,6 +313,7 @@ struct PersistentRunResult {
   vm::RunResult Run;
   dbi::EngineStats Stats;
   PrimeResult Prime;
+  WriteBackDecision WriteBack;
 };
 
 /// Convenience wrapper: construct an engine over \p M with \p ClientTool,

@@ -779,25 +779,32 @@ TEST(DirectoryStoreCrash, CrashDuringSessionFinalizePreservesPriorCache) {
   TempDir Dir;
   CacheDatabase Db(Dir.path());
   auto Input = W.allSlotsInput(2);
-  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, Db);
+  auto Cold = workloads::runPersistent(W.Registry, W.App, W.input({{0, 2}}),
+                                       Db);
   ASSERT_TRUE(Cold.ok());
 
-  // Every write-back attempt of the second run dies mid-stream. The
-  // run itself still succeeds — persistence degrades, never the guest —
-  // and the database keeps serving generation 1.
+  // The second run learns the other slots, so it has something to
+  // publish — and every write-back attempt dies mid-stream. The run
+  // itself still succeeds — persistence degrades, never the guest — and
+  // the database keeps serving generation 1.
   FaultScope Faults;
   FaultInjector::instance().armCount(FaultOp::TornWrite, 0,
                                      /*Times=*/100);
   auto Crashed = workloads::runPersistent(W.Registry, W.App, Input, Db);
   ASSERT_TRUE(Crashed.ok()) << Crashed.status().toString();
+  EXPECT_TRUE(Crashed->WriteBack.Published);
+  EXPECT_NE(Crashed->Stats.TracesCompiled, 0u);
   EXPECT_NE(Crashed->Stats.PersistStoreFailures, 0u);
   FaultInjector::instance().reset();
 
+  // Generation 1 survived intact: the warm run installs exactly the
+  // cold run's traces and relearns what the crashed run lost.
   auto Warm = workloads::runPersistent(W.Registry, W.App, Input, Db);
   ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
   EXPECT_TRUE(Warm->Prime.CacheFound);
-  EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
-  EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
+  EXPECT_EQ(Warm->Prime.TracesInstalled, Cold->Stats.TracesCompiled);
+  EXPECT_EQ(Warm->Stats.TracesCompiled, Crashed->Stats.TracesCompiled);
+  EXPECT_TRUE(Crashed->Run.observablyEquals(Warm->Run));
 }
 
 TEST(DirectoryStoreCrash, TransientCrashIsRetriedAndPublishSucceeds) {

@@ -425,7 +425,12 @@ TEST(OptTier, HeatCarriesAcrossV2V3AndPromotedGenerations) {
   // Run 2: rewrite as an execute-in-place v3 generation.
   persist::PersistOptions Xip = Pic;
   Xip.ExecuteInPlace = true;
-  ASSERT_TRUE(run(W, Input, Db, Xip).ok());
+  auto Migrate = run(W, Input, Db, Xip);
+  ASSERT_TRUE(Migrate.ok());
+  // Nothing compiled: the format hop alone publishes.
+  EXPECT_EQ(Migrate->Stats.TracesCompiled, 0u);
+  EXPECT_EQ(Migrate->WriteBack.Reason,
+            persist::WriteBackReason::HeaderChanged);
   auto Heat2 = heatByStart(Db, Path);
   {
     auto View = persist::CacheFileView::openFile(
@@ -439,6 +444,7 @@ TEST(OptTier, HeatCarriesAcrossV2V3AndPromotedGenerations) {
   Opt.OptTier = true;
   auto Promote = run(W, Input, Db, Opt);
   ASSERT_TRUE(Promote.ok());
+  EXPECT_TRUE(Promote->WriteBack.Published);
   EXPECT_GT(Promote->Stats.TracesPromoted, 0u);
   auto Heat3 = heatByStart(Db, Path);
   {
@@ -467,6 +473,11 @@ TEST(OptTier, HeatCarriesAcrossV2V3AndPromotedGenerations) {
       ++Grew;
   }
   EXPECT_GT(Grew, 0u);
+  // Every hop published, so heat counts all three runs' executions.
+  uint64_t Total = 0;
+  for (const auto &[Start, H3] : Heat3)
+    Total += H3;
+  EXPECT_EQ(Total, Promote->Stats.TraceExecutions * 3);
   // Promoted records carry their accumulated lifetime heat.
   for (const persist::TraceRecord &Rec : File->Traces)
     if (Rec.OptGen > 0) {
@@ -578,4 +589,52 @@ TEST(OptTier, StaleGen0FinalizerCannotClobberPromotedTieredArtifact) {
       EXPECT_GE(R.Heat, std::max(P->second, Q->second));
     }
   }
+}
+
+TEST(OptTier, PromotionRampPublishesUntilNothingIsDue) {
+  // A same-input OptTier session compiles nothing, yet publishes while
+  // a promotion is due: some trace below OptMaxGen whose lifetime heat
+  // (persisted plus this run's executions) reaches OptHeatThreshold.
+  // Each publish lifts the due traces a generation; once none is due,
+  // the session publishes nothing and the file stays byte-identical.
+  TinyWorkload W = makeTinyWorkload(3, 0, 5);
+  TempDir Dir;
+  persist::CacheDatabase Db(Dir.path());
+  const std::vector<uint8_t> Input = W.allSlotsInput(3);
+  persist::PersistOptions Opt;
+  Opt.PositionIndependent = true;
+  Opt.OptTier = true;
+
+  auto Cold = run(W, Input, Db, Opt);
+  ASSERT_TRUE(Cold.ok());
+  const std::string Path = soleCachePath(Dir.path());
+  uint32_t Publishes = 0;
+  for (uint32_t Run = 0; Run != persist::OptMaxGen + 2; ++Run) {
+    SCOPED_TRACE("warm run " + std::to_string(Run));
+    auto Before = readFile(Path);
+    ASSERT_TRUE(Before.ok());
+    auto Warm = run(W, Input, Db, Opt);
+    ASSERT_TRUE(Warm.ok());
+    EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
+    EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
+    if (Warm->WriteBack.Published) {
+      EXPECT_EQ(Warm->WriteBack.Reason, persist::WriteBackReason::PromotionDue)
+          << "got: " << persist::describe(Warm->WriteBack.Reason);
+      EXPECT_GT(Warm->Stats.TracesPromoted, 0u);
+      ++Publishes;
+      continue;
+    }
+    EXPECT_EQ(Warm->WriteBack.Reason,
+              persist::WriteBackReason::NothingLearned);
+    EXPECT_EQ(Warm->Stats.TracesPromoted, 0u);
+    EXPECT_EQ(*readFile(Path), *Before);
+  }
+  EXPECT_GT(Publishes, 0u);
+  EXPECT_LT(Publishes, persist::OptMaxGen + 2) << "the ramp must end";
+  auto File = Db.loadPath(Path);
+  ASSERT_TRUE(File.ok());
+  for (const persist::TraceRecord &Rec : File->Traces)
+    EXPECT_TRUE(Rec.OptGen == persist::OptMaxGen ||
+                Rec.Heat < persist::OptHeatThreshold)
+        << "start " << Rec.GuestStart << " gen " << Rec.OptGen;
 }

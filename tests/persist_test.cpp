@@ -25,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <unordered_set>
+
 using namespace pcc;
 using namespace pcc::persist;
 using tests::makeTinyWorkload;
@@ -797,19 +800,29 @@ TEST(Accumulation, WriteBackCrcsMatchTheWrittenBytes) {
 }
 
 TEST(Accumulation, GenerationCounterAdvances) {
+  // The generation counts publishes: it advances on every run that
+  // learned something and stays where it is on a same-input rerun,
+  // which has nothing to add.
   TinyWorkload W = makeTinyWorkload(2, 0);
   TempDir Dir;
   CacheDatabase Db(Dir.path());
-  auto Input = W.allSlotsInput(2);
-  mustRunPersistent(W, Input, Db);
-  mustRunPersistent(W, Input, Db);
-  mustRunPersistent(W, Input, Db);
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  auto File = CacheFile::deserialize(
-      *readFile(Dir.path() + "/" + (*Files)[0]));
-  ASSERT_TRUE(File.ok());
-  EXPECT_EQ(File->Generation, 3u);
+  auto generation = [&]() -> uint32_t {
+    auto Files = listDirectory(Dir.path());
+    EXPECT_TRUE(Files.ok());
+    EXPECT_EQ(Files->size(), 1u);
+    auto File = CacheFile::deserialize(
+        *readFile(Dir.path() + "/" + (*Files)[0]));
+    EXPECT_TRUE(File.ok());
+    return File ? File->Generation : 0;
+  };
+  mustRunPersistent(W, W.input({{0, 2}}), Db);
+  EXPECT_EQ(generation(), 1u);
+  auto Learned = mustRunPersistent(W, W.allSlotsInput(2), Db);
+  EXPECT_EQ(Learned.WriteBack.Reason, WriteBackReason::TracesCompiled);
+  EXPECT_EQ(generation(), 2u);
+  auto Rerun = mustRunPersistent(W, W.allSlotsInput(2), Db);
+  EXPECT_FALSE(Rerun.WriteBack.Published);
+  EXPECT_EQ(generation(), 2u);
 }
 
 TEST(Accumulation, IdempotentForSameInput) {
@@ -829,6 +842,194 @@ TEST(Accumulation, IdempotentForSameInput) {
   ASSERT_TRUE(After.ok());
   EXPECT_EQ(Before->Traces.size(), After->Traces.size());
   EXPECT_EQ(Before->codeBytes(), After->codeBytes());
+}
+
+//===----------------------------------------------------------------------===//
+// The write-back decision: a run publishes only what it learned.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Path of the single cache file in \p Dir.
+std::string soleFileIn(const std::string &Dir) {
+  auto Files = listDirectory(Dir);
+  EXPECT_TRUE(Files.ok());
+  EXPECT_EQ(Files->size(), 1u);
+  return Files->empty() ? std::string() : Dir + "/" + Files->front();
+}
+
+} // namespace
+
+TEST(WriteBackDecision, SameInputRerunPublishesNothing) {
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  auto Input = W.allSlotsInput(3);
+  auto Cold = mustRunPersistent(W, Input, Db);
+  EXPECT_EQ(Cold.WriteBack.Reason, WriteBackReason::NoPrimedCache);
+  const std::string Path = soleFileIn(Dir.path());
+  auto Before = readFile(Path);
+  ASSERT_TRUE(Before.ok());
+
+  auto Warm = mustRunPersistent(W, Input, Db);
+  EXPECT_EQ(Warm.Stats.TracesCompiled, 0u);
+  EXPECT_FALSE(Warm.WriteBack.Published);
+  EXPECT_EQ(Warm.WriteBack.Reason, WriteBackReason::NothingLearned);
+  // Byte-identical, generation included.
+  EXPECT_EQ(*readFile(Path), *Before);
+  EXPECT_EQ(soleFileIn(Dir.path()), Path);
+
+  // No write charge: the skipping run costs exactly what a read-only
+  // run of the same input costs.
+  PersistOptions ReadOnly;
+  ReadOnly.WriteBack = false;
+  auto NoWrite = mustRunPersistent(W, Input, Db, ReadOnly);
+  EXPECT_EQ(NoWrite.WriteBack.Reason, WriteBackReason::Disabled);
+  tests::expectStatsEqual(Warm.Stats, NoWrite.Stats, "skip vs read-only");
+}
+
+TEST(WriteBackDecision, EachMaterialChangePublishes) {
+  // Every case starts from the same cold PIC cache of Input (libraries
+  // at the bases of ASLR seed 1) and runs one more session against it.
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  const auto Input = W.input({{0, 2}, {2, 2}, {3, 2}});
+  PersistOptions Pic;
+  Pic.PositionIndependent = true;
+  const loader::BasePolicy Aslr = loader::BasePolicy::Randomized;
+
+  struct Case {
+    const char *Label;
+    WriteBackReason Expected;
+    std::function<PersistentRunResult(const CacheDatabase &,
+                                      const std::string &)>
+        Run;
+  };
+  const std::vector<Case> Cases = {
+      {"empty database", WriteBackReason::NoPrimedCache,
+       [&](const CacheDatabase &, const std::string &) {
+         TempDir Other;
+         return mustRunPersistent(W, Input, CacheDatabase(Other.path()),
+                                  Pic, nullptr, Aslr, 1);
+       }},
+      {"donor cache", WriteBackReason::DonorCache,
+       [&](const CacheDatabase &Db, const std::string &Dir) {
+         const std::string Donor = Dir + "/donor.pcc.copy";
+         EXPECT_TRUE(
+             writeFileAtomic(Donor, *readFile(soleFileIn(Dir))).ok());
+         PersistOptions Opts = Pic;
+         Opts.ExplicitCachePath = Donor;
+         return mustRunPersistent(W, Input, Db, Opts, nullptr, Aslr, 1);
+       }},
+      {"explicit store path", WriteBackReason::ExplicitTarget,
+       [&](const CacheDatabase &Db, const std::string &Dir) {
+         PersistOptions Opts = Pic;
+         Opts.StoreAsPath = Dir + "/out.pcc";
+         return mustRunPersistent(W, Input, Db, Opts, nullptr, Aslr, 1);
+       }},
+      {"novel traces", WriteBackReason::TracesCompiled,
+       [&](const CacheDatabase &Db, const std::string &) {
+         return mustRunPersistent(W, W.allSlotsInput(2), Db, Pic, nullptr,
+                                  Aslr, 1);
+       }},
+      {"prime skipped an entry", WriteBackReason::TracesNotResident,
+       [&](const CacheDatabase &Db, const std::string &Dir) {
+         // A second record for an already-indexed start: install keeps
+         // the first and skips the duplicate, so nothing is recompiled
+         // but the file still holds a trace the run never installed.
+         const std::string Path = soleFileIn(Dir);
+         auto File = Db.loadPath(Path);
+         EXPECT_TRUE(File.ok());
+         File->Traces.push_back(File->Traces.front());
+         EXPECT_TRUE(writeFileAtomic(Path, File->serialize()).ok());
+         auto R = mustRunPersistent(W, Input, Db, Pic, nullptr, Aslr, 1);
+         EXPECT_EQ(R.Prime.TracesSkipped, 1u);
+         return R;
+       }},
+      {"rebased library", WriteBackReason::ModuleTableChanged,
+       [&](const CacheDatabase &Db, const std::string &) {
+         auto R = mustRunPersistent(W, Input, Db, Pic, nullptr, Aslr, 2);
+         EXPECT_EQ(R.Prime.ModulesInvalidated, 0u);
+         return R;
+       }},
+      {"same input", WriteBackReason::NothingLearned,
+       [&](const CacheDatabase &Db, const std::string &) {
+         return mustRunPersistent(W, Input, Db, Pic, nullptr, Aslr, 1);
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Label);
+    TempDir Dir;
+    CacheDatabase Db(Dir.path());
+    auto Cold = mustRunPersistent(W, Input, Db, Pic, nullptr, Aslr, 1);
+    PersistentRunResult R = C.Run(Db, Dir.path());
+    if (C.Expected != WriteBackReason::TracesCompiled) { // Same input.
+      EXPECT_TRUE(R.Run.observablyEquals(Cold.Run));
+    }
+    EXPECT_EQ(R.WriteBack.Reason, C.Expected)
+        << "got: " << describe(R.WriteBack.Reason);
+    EXPECT_EQ(R.WriteBack.Published,
+              C.Expected != WriteBackReason::NothingLearned);
+    // Past the cold case, only the novel-trace case compiles: each
+    // other rule forces its publish on its own.
+    if (C.Expected == WriteBackReason::TracesCompiled ||
+        C.Expected == WriteBackReason::NoPrimedCache) {
+      EXPECT_NE(R.Stats.TracesCompiled, 0u);
+    } else {
+      EXPECT_EQ(R.Stats.TracesCompiled, 0u);
+    }
+  }
+}
+
+TEST(WriteBackDecision, CorruptUnexecutedTraceSurvivesUntilExecuted) {
+  // A run that publishes nothing no longer CRC-checks the payloads it
+  // never executed, so a damaged trace stays on disk until some run
+  // executes it; that run drops it, retranslates it and publishes.
+  TinyWorkload W = makeTinyWorkload(4, 0);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  const auto Partial = W.input({{0, 2}, {1, 2}});
+  const auto All = W.allSlotsInput(2);
+  mustRunPersistent(W, Partial, Db);
+  const std::string Path = soleFileIn(Dir.path());
+  std::unordered_set<uint32_t> PartialStarts;
+  {
+    auto View = CacheFileView::openFile(Path);
+    ASSERT_TRUE(View.ok());
+    for (uint32_t I = 0; I != View->numTraces(); ++I)
+      PartialStarts.insert(View->entry(I).GuestStart);
+  }
+  auto Full = mustRunPersistent(W, All, Db);
+
+  // Damage one trace only the full input executes.
+  auto Bytes = readFile(Path);
+  ASSERT_TRUE(Bytes.ok());
+  {
+    auto View = CacheFileView::open(*Bytes);
+    ASSERT_TRUE(View.ok());
+    uint32_t Victim = View->numTraces();
+    for (uint32_t I = 0; I != View->numTraces(); ++I)
+      if (!PartialStarts.count(View->entry(I).GuestStart))
+        Victim = I;
+    ASSERT_NE(Victim, View->numTraces());
+    const TraceIndexEntry &E = View->entry(Victim);
+    (*Bytes)[View->payloadOffset() + E.CodeOffset + E.CodeSize / 2] ^= 0x40;
+  }
+  ASSERT_TRUE(writeFileAtomic(Path, *Bytes).ok());
+
+  auto Skip = mustRunPersistent(W, Partial, Db);
+  EXPECT_EQ(Skip.Stats.TracesCompiled, 0u);
+  EXPECT_FALSE(Skip.WriteBack.Published);
+  EXPECT_EQ(*readFile(Path), *Bytes) << "the damaged file stays as it was";
+
+  auto Heal = mustRunPersistent(W, All, Db);
+  EXPECT_TRUE(Heal.Run.observablyEquals(Full.Run));
+  EXPECT_EQ(Heal.Stats.TracesDroppedCorrupt, 1u);
+  EXPECT_EQ(Heal.Stats.TracesCompiled, 1u);
+  EXPECT_EQ(Heal.WriteBack.Reason, WriteBackReason::TracesCompiled);
+  auto Healed = CacheFileView::openFile(Path);
+  ASSERT_TRUE(Healed.ok());
+  for (uint32_t I = 0; I != Healed->numTraces(); ++I)
+    EXPECT_TRUE(Healed->codeCrcOk(I)) << "trace " << I;
 }
 
 TEST(Accumulation, WriteBackOffLeavesDatabaseUntouched) {

@@ -408,13 +408,16 @@ TEST(Xip, MigrationFromV2CarriesHeatForward) {
   ASSERT_TRUE(Gen1.ok()) << Gen1.status().toString();
 
   // Generation 2: an XIP session consumes the v2 file (materializing —
-  // there is nothing to map in place yet) and finalizes it as v3.
+  // there is nothing to map in place yet) and finalizes it as v3. It
+  // compiles nothing; the format change alone makes it publish.
   PersistOptions Opts = xipOptions();
   auto Gen2 = workloads::runPersistent(W.Registry, W.App, Input, Db, Opts);
   ASSERT_TRUE(Gen2.ok()) << Gen2.status().toString();
   ASSERT_TRUE(Gen2->Prime.CacheFound);
   EXPECT_FALSE(Gen2->Prime.XipInstalled);
   EXPECT_GT(Gen2->Prime.PayloadBytesCopied, 0u);
+  EXPECT_EQ(Gen2->Stats.TracesCompiled, 0u);
+  EXPECT_EQ(Gen2->WriteBack.Reason, WriteBackReason::HeaderChanged);
 
   const std::string Path = Gen2->Prime.CachePath;
   {
@@ -428,13 +431,66 @@ TEST(Xip, MigrationFromV2CarriesHeatForward) {
   const uint64_t HeatAfterGen2 = totalHeat(Path);
   EXPECT_GT(HeatAfterGen2, 0u)
       << "migration must carry the v2 generation's heat forward";
+  // Heat counts the executions of every run that published: the v2
+  // generation's plus the migrating run's.
+  EXPECT_EQ(HeatAfterGen2, 2 * Gen1->Stats.TraceExecutions);
 
-  // Generation 3: the migrated file primes execute-in-place, and heat
-  // keeps accumulating across generations.
+  // The migrated file primes execute-in-place. A same-input rerun has
+  // learned nothing: it leaves the v3 generation byte-identical, heat
+  // included.
+  auto Gen2Bytes = readFile(Path);
+  ASSERT_TRUE(Gen2Bytes.ok());
   auto Gen3 = workloads::runPersistent(W.Registry, W.App, Input, Db, Opts);
   ASSERT_TRUE(Gen3.ok()) << Gen3.status().toString();
   EXPECT_TRUE(Gen3->Prime.XipInstalled);
   EXPECT_EQ(Gen3->Prime.PayloadBytesCopied, 0u);
   EXPECT_TRUE(Gen1->Run.observablyEquals(Gen3->Run));
-  EXPECT_GT(totalHeat(Path), HeatAfterGen2);
+  EXPECT_FALSE(Gen3->WriteBack.Published);
+  EXPECT_EQ(Gen3->WriteBack.Reason, WriteBackReason::NothingLearned);
+  EXPECT_EQ(*readFile(Path), *Gen2Bytes);
+}
+
+TEST(Xip, WriteBackPublishesOnlyAFormatChange) {
+  // The written header must match what the session writes: a v3 file
+  // consumed by a materializing (v2) session is rewritten as v2, and a
+  // v2 file consumed by an XIP session as v3 — even though neither run
+  // compiles anything. A session of the file's own format skips.
+  TinyWorkload W = makeTinyWorkload(4, 2);
+  auto Input = W.allSlotsInput(2);
+  TempDir Dir;
+  CacheDatabase Db(Dir.path());
+  PersistOptions V2Opts;
+  V2Opts.PositionIndependent = true;
+  const PersistOptions XipOpts = xipOptions();
+
+  struct Step {
+    const char *Label;
+    const PersistOptions *Opts;
+    WriteBackReason Expected;
+    bool WritesXip;
+  };
+  const Step Steps[] = {
+      {"cold XIP", &XipOpts, WriteBackReason::NoPrimedCache, true},
+      {"XIP rerun", &XipOpts, WriteBackReason::NothingLearned, true},
+      {"v3 to v2", &V2Opts, WriteBackReason::HeaderChanged, false},
+      {"v2 rerun", &V2Opts, WriteBackReason::NothingLearned, false},
+      {"v2 to v3", &XipOpts, WriteBackReason::HeaderChanged, true},
+  };
+  for (const Step &S : Steps) {
+    SCOPED_TRACE(S.Label);
+    auto R = workloads::runPersistent(W.Registry, W.App, Input, Db, *S.Opts);
+    ASSERT_TRUE(R.ok()) << R.status().toString();
+    EXPECT_EQ(R->WriteBack.Reason, S.Expected)
+        << "got: " << describe(R->WriteBack.Reason);
+    if (S.Expected != WriteBackReason::NoPrimedCache) {
+      EXPECT_EQ(R->Stats.TracesCompiled, 0u);
+    }
+    auto Names = listDirectory(Dir.path());
+    ASSERT_TRUE(Names.ok());
+    ASSERT_EQ(Names->size(), 1u);
+    auto View = CacheFileView::openFile(Dir.path() + "/" + Names->front(),
+                                        CacheFileView::Depth::HeaderOnly);
+    ASSERT_TRUE(View.ok()) << View.status().toString();
+    EXPECT_EQ(View->executeInPlace(), S.WritesXip);
+  }
 }
