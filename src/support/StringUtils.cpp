@@ -60,3 +60,21 @@ std::string pcc::formatByteSize(uint64_t Bytes) {
     return formatString("%llu B", static_cast<unsigned long long>(Bytes));
   return formatString("%.1f %s", Value, Units[Unit]);
 }
+
+ErrorOr<uint64_t> pcc::support::parseUnsigned(const char *Text,
+                                              uint64_t Max) {
+  uint64_t Value = 0;
+  const char *C = Text;
+  for (; *C >= '0' && *C <= '9'; ++C) {
+    const uint64_t Digit = static_cast<uint64_t>(*C - '0');
+    if (Value > (Max - Digit) / 10)
+      break; // Value * 10 + Digit would pass Max (or wrap).
+    Value = Value * 10 + Digit;
+  }
+  if (C == Text || *C != '\0')
+    return Status::error(
+        ErrorCode::InvalidArgument,
+        formatString("must be a decimal number in 0..%llu, got '%s'",
+                     static_cast<unsigned long long>(Max), Text));
+  return Value;
+}

@@ -14,6 +14,8 @@
 #ifndef PCC_SUPPORT_STRINGUTILS_H
 #define PCC_SUPPORT_STRINGUTILS_H
 
+#include "support/Error.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +35,15 @@ std::vector<std::string> splitString(const std::string &Str, char Sep);
 /// Renders a byte count as "1.5 MiB" style human-readable text.
 std::string formatByteSize(uint64_t Bytes);
 
+namespace support {
+
+/// Parses a numeric tool argument: decimal digits only, 0 through
+/// \p Max. Anything else (empty, signs, hex, trailing junk, an
+/// out-of-range or overflowing number) is InvalidArgument, so a typo
+/// never runs as 0 or as a truncated value.
+ErrorOr<uint64_t> parseUnsigned(const char *Text, uint64_t Max);
+
+} // namespace support
 } // namespace pcc
 
 #endif // PCC_SUPPORT_STRINGUTILS_H

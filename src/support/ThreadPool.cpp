@@ -166,17 +166,8 @@ size_t ThreadPool::defaultWorkerCount() {
 }
 
 ErrorOr<unsigned> pcc::support::parseWorkerCount(const char *Text) {
-  unsigned Value = 0;
-  const char *C = Text;
-  for (; *C >= '0' && *C <= '9'; ++C) {
-    Value = Value * 10 + static_cast<unsigned>(*C - '0');
-    if (Value > MaxWorkerCount)
-      break;
-  }
-  if (C == Text || *C != '\0')
-    return Status::error(ErrorCode::InvalidArgument,
-                         formatString("worker count must be a decimal "
-                                      "number in 0..%u, got '%s'",
-                                      MaxWorkerCount, Text));
-  return Value;
+  auto Value = parseUnsigned(Text, MaxWorkerCount);
+  if (!Value)
+    return Value.status();
+  return static_cast<unsigned>(*Value);
 }

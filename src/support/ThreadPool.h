@@ -106,10 +106,9 @@ private:
 /// Largest worker count a tool accepts on its command line (--jobs N).
 inline constexpr unsigned MaxWorkerCount = 256;
 
-/// Parses a --jobs value: decimal digits only, 0 through
-/// MaxWorkerCount. Anything else (empty, signs, hex, trailing junk, an
-/// out-of-range or overflowing number) is InvalidArgument, so a typo
-/// can neither silently run with zero workers nor spawn a huge pool.
+/// Parses a --jobs value with parseUnsigned(Text, MaxWorkerCount), so a
+/// typo can neither silently run with zero workers nor spawn a huge
+/// pool.
 ErrorOr<unsigned> parseWorkerCount(const char *Text);
 
 } // namespace support

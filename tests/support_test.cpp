@@ -275,6 +275,35 @@ TEST(WorkerCount, ParsesOnlyDecimalCountsUpToTheCeiling) {
   EXPECT_EQ(*parseWorkerCount("256"), support::MaxWorkerCount);
 }
 
+TEST(ParseUnsigned, AcceptsOnlyDecimalValuesUpToTheMaximum) {
+  // Parse only: the values stand for fleet sizes, byte budgets and
+  // seeds, none of which is acted on here.
+  using support::parseUnsigned;
+  auto Rejected = [](const char *Text, uint64_t Max) {
+    auto N = parseUnsigned(Text, Max);
+    return !N && N.status().code() == ErrorCode::InvalidArgument;
+  };
+  for (const char *Bad : {"", "abc", "12abc", " 1", "1 ", "-1", "+1",
+                          "0x10", "1e3", "1.5"})
+    EXPECT_TRUE(Rejected(Bad, UINT64_MAX)) << "'" << Bad << "'";
+  EXPECT_TRUE(Rejected("4294967296", UINT32_MAX)); // 2^32: no wrap to 0.
+  EXPECT_TRUE(Rejected("4294967297", UINT32_MAX)); // ... nor to 1.
+  EXPECT_TRUE(Rejected("18446744073709551616", UINT64_MAX)); // 2^64.
+  EXPECT_TRUE(Rejected("99999999999999999999999", UINT64_MAX));
+  EXPECT_TRUE(Rejected("11", 10));
+
+  auto Accepted = [](const char *Text, uint64_t Max) -> uint64_t {
+    auto N = parseUnsigned(Text, Max);
+    EXPECT_TRUE(N.ok()) << "'" << Text << "'";
+    return N ? *N : ~0ull;
+  };
+  EXPECT_EQ(Accepted("0", 0), 0u);
+  EXPECT_EQ(Accepted("007", 10), 7u);
+  EXPECT_EQ(Accepted("10", 10), 10u);
+  EXPECT_EQ(Accepted("4294967295", UINT32_MAX), 4294967295u);
+  EXPECT_EQ(Accepted("18446744073709551615", UINT64_MAX), UINT64_MAX);
+}
+
 TEST(TablePrinter, RendersAlignedColumns) {
   TablePrinter Table("demo");
   Table.addRow({"name", "value"});

@@ -87,7 +87,13 @@ int main(int Argc, char **Argv) {
       L2Dir = Argv[++I];
     else if (std::strcmp(Argv[I], "--shrink-to") == 0 && I + 1 < Argc) {
       Shrink = true;
-      MaxBytes = std::strtoull(Argv[++I], nullptr, 0);
+      auto N = support::parseUnsigned(Argv[++I], UINT64_MAX);
+      if (!N) {
+        std::fprintf(stderr, "pcc-dbstat: --shrink-to: %s\n",
+                     N.status().message().c_str());
+        return 2;
+      }
+      MaxBytes = *N;
     } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
       auto N = support::parseWorkerCount(Argv[++I]);
       if (!N) {

@@ -47,10 +47,12 @@
 #include "support/ThreadPool.h"
 #include "workloads/Fleet.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 
 using namespace pcc;
 using namespace pcc::workloads;
@@ -130,20 +132,32 @@ int main(int Argc, char **Argv) {
     auto next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    auto nextU64 = [&](uint64_t &Out) {
+    std::string Arg = Argv[I];
+    // Numeric values: decimal only, range-checked (exit 2 otherwise).
+    std::string BadValue;
+    auto nextNumber = [&](uint64_t Max) -> std::optional<uint64_t> {
       const char *V = next();
-      if (V)
-        Out = std::strtoull(V, nullptr, 0);
-      return V != nullptr;
+      if (!V)
+        return std::nullopt;
+      auto N = support::parseUnsigned(V, Max);
+      if (!N) {
+        BadValue = N.status().message();
+        return std::nullopt;
+      }
+      return *N;
+    };
+    auto nextU64 = [&](uint64_t &Out) {
+      auto N = nextNumber(UINT64_MAX);
+      if (N)
+        Out = *N;
+      return N.has_value();
     };
     auto nextU32 = [&](uint32_t &Out) {
-      uint64_t Wide = 0;
-      if (!nextU64(Wide))
-        return false;
-      Out = static_cast<uint32_t>(Wide);
-      return true;
+      auto N = nextNumber(UINT32_MAX);
+      if (N)
+        Out = static_cast<uint32_t>(*N);
+      return N.has_value();
     };
-    std::string Arg = Argv[I];
     bool Ok = true;
     if (Arg == "--machines")
       Ok = nextU32(Opts.Machines);
@@ -200,8 +214,12 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     if (!Ok) {
-      std::fprintf(stderr, "pcc-fleetsim: %s requires a value\n",
-                   Arg.c_str());
+      if (BadValue.empty())
+        std::fprintf(stderr, "pcc-fleetsim: %s requires a value\n",
+                     Arg.c_str());
+      else
+        std::fprintf(stderr, "pcc-fleetsim: %s: %s\n", Arg.c_str(),
+                     BadValue.c_str());
       return 2;
     }
   }

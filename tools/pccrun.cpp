@@ -205,15 +205,22 @@ ErrorOr<std::vector<uint8_t>> parseWork(const std::string &Spec) {
     if (Fields.size() != 2)
       return Status::error(ErrorCode::InvalidArgument,
                            "bad work item: " + Part);
-    workloads::WorkItem Item;
-    Item.Slot = static_cast<uint32_t>(std::strtoul(
-        Fields[0].c_str(), nullptr, 0));
-    Item.Iterations = static_cast<uint32_t>(std::strtoul(
-        Fields[1].c_str(), nullptr, 0));
-    if (Item.Iterations == 0)
+    auto Slot = support::parseUnsigned(Fields[0].c_str(), UINT32_MAX);
+    if (!Slot)
+      return Status::error(ErrorCode::InvalidArgument,
+                           "bad slot in " + Part + ": " +
+                               Slot.status().message());
+    auto Iterations =
+        support::parseUnsigned(Fields[1].c_str(), UINT32_MAX);
+    if (!Iterations)
+      return Status::error(ErrorCode::InvalidArgument,
+                           "bad iterations in " + Part + ": " +
+                               Iterations.status().message());
+    if (*Iterations == 0)
       return Status::error(ErrorCode::InvalidArgument,
                            "iterations must be >= 1: " + Part);
-    Items.push_back(Item);
+    Items.push_back(workloads::WorkItem{static_cast<uint32_t>(*Slot),
+                                        static_cast<uint32_t>(*Iterations)});
   }
   return workloads::encodeWorkload(Items);
 }
@@ -364,11 +371,17 @@ int main(int Argc, char **Argv) {
       }
       Jobs = *N;
     } else if (Arg == "--aslr") {
-      if (const char *V = next()) {
-        AslrSeed = std::strtoull(V, nullptr, 0);
-        Randomized = true;
-      } else
+      const char *V = next();
+      if (!V)
         return usage(2);
+      auto Seed = support::parseUnsigned(V, UINT64_MAX);
+      if (!Seed) {
+        std::fprintf(stderr, "pccrun: --aslr: %s\n",
+                     Seed.status().message().c_str());
+        return usage(2);
+      }
+      AslrSeed = *Seed;
+      Randomized = true;
     } else if (Arg == "--inter-app")
       InterApp = true;
     else if (Arg == "--pic")
@@ -429,9 +442,9 @@ int main(int Argc, char **Argv) {
   if (!WorkSpec.empty()) {
     auto Parsed = parseWork(WorkSpec);
     if (!Parsed) {
-      std::fprintf(stderr, "pccrun: %s\n",
-                   Parsed.status().toString().c_str());
-      return 1;
+      std::fprintf(stderr, "pccrun: --work: %s\n",
+                   Parsed.status().message().c_str());
+      return usage(2);
     }
     Input = Parsed.take();
   }
@@ -467,6 +480,7 @@ int main(int Argc, char **Argv) {
   vm::RunResult Run;
   dbi::EngineStats EngineStats;
   bool HaveStats = false;
+  std::string WriteBackLine; // Persist mode: finalize()'s decision.
 
   dbi::EngineOptions EngineOpts;
   EngineOpts.OptimizeFlags = OptFlags;
@@ -648,6 +662,13 @@ int main(int Argc, char **Argv) {
     Run = R->Run;
     EngineStats = R->Stats;
     HaveStats = true;
+    const persist::WriteBackDecision &WB = R->WriteBack;
+    WriteBackLine =
+        WB.Reason == persist::WriteBackReason::Disabled
+            ? "write-back: disabled"
+            : formatString("write-back: %s (%s)",
+                           WB.Published ? "published" : "skipped",
+                           persist::describe(WB.Reason));
   } else {
     return usage(2);
   }
@@ -669,6 +690,8 @@ int main(int Argc, char **Argv) {
               (unsigned long long)Run.Cycles);
   if (Stats && HaveStats)
     printStats(EngineStats);
+  if (Stats && !WriteBackLine.empty())
+    std::printf("%s\n", WriteBackLine.c_str());
 
   // The tool's concrete type is known from its name (no RTTI).
   if (ToolName == "bbcount") {
