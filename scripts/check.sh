@@ -44,11 +44,11 @@
 #                                    sharing paths are exactly what
 #                                    those sanitizers catch)
 #   scripts/check.sh --fleet         fleet smoke: a small pcc-fleetsim
-#                                    run under ASan with --verify (the
-#                                    tiered run must converge and beat
-#                                    the no-L2 baseline), plus the
-#                                    tiered-store slice of the test
-#                                    suite
+#                                    run with --verify (the tiered run
+#                                    must converge and beat the no-L2
+#                                    baseline), plus the tiered-store
+#                                    slice of the test suite, under
+#                                    ASan and then TSan
 #   scripts/check.sh --replay        record/replay soak: runs the
 #                                    replay_test binary (fault-storm
 #                                    recording over 20 seeds, tiered
@@ -75,7 +75,7 @@
 # argument is the number of soak iterations per sanitizer (default 5, 2
 # for --xip, --replay, --opt and --certs); in --fleet
 # mode it is the simulated machine count (default 96) and the rest goes
-# to pcc-fleetsim.
+# to pcc-fleetsim (one iteration per sanitizer).
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -84,8 +84,8 @@ BUILD="$ROOT/build"
 # sanitizer legs configure their own trees without it.
 EXTRA_CMAKE="-DCMAKE_CXX_FLAGS=-Werror"
 
-# Sanitizer soak scaffold shared by the --faults, --xip, --replay, --opt
-# and --certs legs: under ASan and then TSan, configure build-$SAN,
+# Sanitizer soak scaffold shared by the --faults, --xip, --replay, --opt,
+# --certs and --fleet legs: under ASan and then TSan, configure build-$SAN,
 # build the leg's targets, run the leg's iteration function ITERS times
 # and then its post function (if any) once. Both functions see $SOAK
 # (the sanitizer build tree) and $SAN.
@@ -196,6 +196,17 @@ certs_iteration() {
   "$SOAK/tests/cert_test"
 }
 
+# Set by the --fleet case below: machine count and extra fleetsim flags.
+FLEET_MACHINES=96
+FLEET_ARGS=""
+fleet_iteration() {
+  echo "== fleet smoke: $FLEET_MACHINES machines =="
+  # shellcheck disable=SC2086  # FLEET_ARGS is intentionally word-split.
+  "$SOAK/tools/pcc-fleetsim" --machines "$FLEET_MACHINES" --rounds 3 \
+    --verify $FLEET_ARGS
+  "$SOAK/tests/pcc_tests" --gtest_filter='*Tiered*:Backends/*'
+}
+
 # Fault-injected certificate writes: grow a certified store while
 # publishes keep failing and retrying, then hold whatever survived to
 # the full proof contract — plain dbcheck replays every persisted
@@ -238,21 +249,14 @@ case "${1:-}" in
     "cert_test pccrun pcc-asm pcc-dbcheck pcc-dbstat" certs_iteration \
     certs_post
   ;;
-esac
-
-if [ "${1:-}" = "--fleet" ]; then
+--fleet)
   shift
-  MACHINES="${1:-96}"
+  FLEET_MACHINES="${1:-96}"
   [ $# -gt 0 ] && shift
-  SOAK="$ROOT/build-address"
-  cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=address
-  cmake --build "$SOAK" -j --target pcc-fleetsim --target pcc_tests
-  echo "== fleet smoke: $MACHINES machines under ASan =="
-  "$SOAK/tools/pcc-fleetsim" --machines "$MACHINES" --rounds 3 --verify "$@"
-  "$SOAK/tests/pcc_tests" --gtest_filter='*Tiered*:Backends/*'
-  echo "fleet smoke passed: $MACHINES machines, tiered suite clean"
-  exit 0
-fi
+  FLEET_ARGS="$*"
+  soak fleet 1 "pcc-fleetsim pcc_tests" fleet_iteration
+  ;;
+esac
 
 if [ "${1:-}" = "--tidy" ]; then
   shift
