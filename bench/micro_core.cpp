@@ -512,7 +512,7 @@ void BM_FinalizeWriteBack(benchmark::State &State) {
   GuiStageFixture &F = guiStageFixture();
   persist::PersistOptions Opts;
   Opts.StoreAsPath = "<finalize-bench>";
-  if (!timeWarmFinalize(State, F, Opts).Published)
+  if (!timeWarmFinalize(State, F, Opts).published())
     std::abort();
   auto Written = bench::mustOk(F.Store->loadRef(Opts.StoreAsPath),
                                "write-back bench output");
@@ -529,7 +529,7 @@ BENCHMARK(BM_FinalizeWriteBack)->UseManualTime();
 /// iteration count is fixed rather than grown to the minimum time.
 void BM_FinalizeNothingLearned(benchmark::State &State) {
   GuiStageFixture &F = guiStageFixture();
-  if (timeWarmFinalize(State, F, persist::PersistOptions()).Published)
+  if (timeWarmFinalize(State, F, persist::PersistOptions()).published())
     std::abort();
 }
 BENCHMARK(BM_FinalizeNothingLearned)->UseManualTime()->Iterations(300);

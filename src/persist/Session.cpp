@@ -879,15 +879,11 @@ struct PersistentSession::FinalizeState {
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
-  if (!Opts.WriteBack) {
-    Decision = {false, WriteBackReason::Disabled};
-    return Status::success();
-  }
   // Decided before any per-trace copy: a run that learned nothing builds
   // no snapshot, pays no write charge and leaves the slot as it is.
-  const WriteBackReason Reason = decideWriteBack(Engine);
-  Decision = {Reason != WriteBackReason::NothingLearned, Reason};
-  if (!Decision.Published)
+  Decision.Reason = Opts.WriteBack ? decideWriteBack(Engine)
+                                   : WriteBackReason::Disabled;
+  if (!Decision.published())
     return Status::success();
 
   const loader::LoadedImage &Image = Engine.machine().image();

@@ -199,8 +199,9 @@ const char *describe(WriteBackReason Reason);
 /// The write-back decision finalize() took. Kept outside EngineStats:
 /// it is an explanation, not a modeled quantity.
 struct WriteBackDecision {
-  bool Published = false;
   WriteBackReason Reason = WriteBackReason::NotFinalized;
+  /// Whether finalize() published (every reason after NothingLearned).
+  bool published() const { return Reason > WriteBackReason::NothingLearned; }
 };
 
 /// Brackets one engine run with persistent-cache reuse and generation.

@@ -792,7 +792,7 @@ TEST(DirectoryStoreCrash, CrashDuringSessionFinalizePreservesPriorCache) {
                                      /*Times=*/100);
   auto Crashed = workloads::runPersistent(W.Registry, W.App, Input, Db);
   ASSERT_TRUE(Crashed.ok()) << Crashed.status().toString();
-  EXPECT_TRUE(Crashed->WriteBack.Published);
+  EXPECT_TRUE(Crashed->WriteBack.published());
   EXPECT_NE(Crashed->Stats.TracesCompiled, 0u);
   EXPECT_NE(Crashed->Stats.PersistStoreFailures, 0u);
   FaultInjector::instance().reset();

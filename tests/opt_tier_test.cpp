@@ -444,7 +444,7 @@ TEST(OptTier, HeatCarriesAcrossV2V3AndPromotedGenerations) {
   Opt.OptTier = true;
   auto Promote = run(W, Input, Db, Opt);
   ASSERT_TRUE(Promote.ok());
-  EXPECT_TRUE(Promote->WriteBack.Published);
+  EXPECT_TRUE(Promote->WriteBack.published());
   EXPECT_GT(Promote->Stats.TracesPromoted, 0u);
   auto Heat3 = heatByStart(Db, Path);
   {
@@ -617,7 +617,7 @@ TEST(OptTier, PromotionRampPublishesUntilNothingIsDue) {
     ASSERT_TRUE(Warm.ok());
     EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
     EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
-    if (Warm->WriteBack.Published) {
+    if (Warm->WriteBack.published()) {
       EXPECT_EQ(Warm->WriteBack.Reason, persist::WriteBackReason::PromotionDue)
           << "got: " << persist::describe(Warm->WriteBack.Reason);
       EXPECT_GT(Warm->Stats.TracesPromoted, 0u);

@@ -821,7 +821,7 @@ TEST(Accumulation, GenerationCounterAdvances) {
   EXPECT_EQ(Learned.WriteBack.Reason, WriteBackReason::TracesCompiled);
   EXPECT_EQ(generation(), 2u);
   auto Rerun = mustRunPersistent(W, W.allSlotsInput(2), Db);
-  EXPECT_FALSE(Rerun.WriteBack.Published);
+  EXPECT_FALSE(Rerun.WriteBack.published());
   EXPECT_EQ(generation(), 2u);
 }
 
@@ -873,7 +873,7 @@ TEST(WriteBackDecision, SameInputRerunPublishesNothing) {
 
   auto Warm = mustRunPersistent(W, Input, Db);
   EXPECT_EQ(Warm.Stats.TracesCompiled, 0u);
-  EXPECT_FALSE(Warm.WriteBack.Published);
+  EXPECT_FALSE(Warm.WriteBack.published());
   EXPECT_EQ(Warm.WriteBack.Reason, WriteBackReason::NothingLearned);
   // Byte-identical, generation included.
   EXPECT_EQ(*readFile(Path), *Before);
@@ -967,7 +967,7 @@ TEST(WriteBackDecision, EachMaterialChangePublishes) {
     }
     EXPECT_EQ(R.WriteBack.Reason, C.Expected)
         << "got: " << describe(R.WriteBack.Reason);
-    EXPECT_EQ(R.WriteBack.Published,
+    EXPECT_EQ(R.WriteBack.published(),
               C.Expected != WriteBackReason::NothingLearned);
     // Past the cold case, only the novel-trace case compiles: each
     // other rule forces its publish on its own.
@@ -1018,7 +1018,7 @@ TEST(WriteBackDecision, CorruptUnexecutedTraceSurvivesUntilExecuted) {
 
   auto Skip = mustRunPersistent(W, Partial, Db);
   EXPECT_EQ(Skip.Stats.TracesCompiled, 0u);
-  EXPECT_FALSE(Skip.WriteBack.Published);
+  EXPECT_FALSE(Skip.WriteBack.published());
   EXPECT_EQ(*readFile(Path), *Bytes) << "the damaged file stays as it was";
 
   auto Heal = mustRunPersistent(W, All, Db);

@@ -445,7 +445,7 @@ TEST(Xip, MigrationFromV2CarriesHeatForward) {
   EXPECT_TRUE(Gen3->Prime.XipInstalled);
   EXPECT_EQ(Gen3->Prime.PayloadBytesCopied, 0u);
   EXPECT_TRUE(Gen1->Run.observablyEquals(Gen3->Run));
-  EXPECT_FALSE(Gen3->WriteBack.Published);
+  EXPECT_FALSE(Gen3->WriteBack.published());
   EXPECT_EQ(Gen3->WriteBack.Reason, WriteBackReason::NothingLearned);
   EXPECT_EQ(*readFile(Path), *Gen2Bytes);
 }

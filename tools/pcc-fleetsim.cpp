@@ -52,7 +52,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 
 using namespace pcc;
 using namespace pcc::workloads;
@@ -132,32 +131,29 @@ int main(int Argc, char **Argv) {
     auto next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    std::string Arg = Argv[I];
-    // Numeric values: decimal only, range-checked (exit 2 otherwise).
+    // Numeric values are decimal only and range-checked: a bad one
+    // sets BadValue and exits 2 below.
     std::string BadValue;
-    auto nextNumber = [&](uint64_t Max) -> std::optional<uint64_t> {
+    auto nextU64 = [&](uint64_t &Out, uint64_t Max = UINT64_MAX) {
       const char *V = next();
       if (!V)
-        return std::nullopt;
+        return false;
       auto N = support::parseUnsigned(V, Max);
       if (!N) {
         BadValue = N.status().message();
-        return std::nullopt;
+        return false;
       }
-      return *N;
-    };
-    auto nextU64 = [&](uint64_t &Out) {
-      auto N = nextNumber(UINT64_MAX);
-      if (N)
-        Out = *N;
-      return N.has_value();
+      Out = *N;
+      return true;
     };
     auto nextU32 = [&](uint32_t &Out) {
-      auto N = nextNumber(UINT32_MAX);
-      if (N)
-        Out = static_cast<uint32_t>(*N);
-      return N.has_value();
+      uint64_t Wide = 0;
+      if (!nextU64(Wide, UINT32_MAX))
+        return false;
+      Out = static_cast<uint32_t>(Wide);
+      return true;
     };
+    std::string Arg = Argv[I];
     bool Ok = true;
     if (Arg == "--machines")
       Ok = nextU32(Opts.Machines);

@@ -662,13 +662,10 @@ int main(int Argc, char **Argv) {
     Run = R->Run;
     EngineStats = R->Stats;
     HaveStats = true;
-    const persist::WriteBackDecision &WB = R->WriteBack;
-    WriteBackLine =
-        WB.Reason == persist::WriteBackReason::Disabled
-            ? "write-back: disabled"
-            : formatString("write-back: %s (%s)",
-                           WB.Published ? "published" : "skipped",
-                           persist::describe(WB.Reason));
+    WriteBackLine = formatString(
+        "write-back: %s (%s)",
+        R->WriteBack.published() ? "published" : "skipped",
+        persist::describe(R->WriteBack.Reason));
   } else {
     return usage(2);
   }
