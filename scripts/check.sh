@@ -15,7 +15,7 @@
 #                                    directory-store tests: by-reference
 #                                    publish, copy-on-merge, the shared
 #                                    background finalize file)
-#                                    repeatedly under ASan and then
+#                                    repeatedly under ASan+UBSan and then
 #                                    TSan (separate build trees)
 #   scripts/check.sh --tidy          clang-tidy over src/ with the
 #                                    repo .clang-tidy (bugprone-*,
@@ -27,7 +27,7 @@
 #                                    clang-tidy is present
 #   scripts/check.sh --certs         certificate soak: runs the
 #                                    cert_test binary repeatedly under
-#                                    ASan and then TSan, grows a
+#                                    ASan+UBSan and then TSan, grows a
 #                                    certified store under an injected
 #                                    fault storm (certificate-section
 #                                    writes failing and retrying), and
@@ -39,7 +39,7 @@
 #                                    xip_test and fault_injection_test
 #                                    binaries plus the shared_desktop
 #                                    login-storm demo repeatedly under
-#                                    ASan and then TSan (the mapped-
+#                                    ASan+UBSan and then TSan (the mapped-
 #                                    payload lifetime and concurrent
 #                                    sharing paths are exactly what
 #                                    those sanitizers catch)
@@ -48,12 +48,12 @@
 #                                    must converge and beat the no-L2
 #                                    baseline), plus the tiered-store
 #                                    slice of the test suite, under
-#                                    ASan and then TSan
+#                                    ASan+UBSan and then TSan
 #   scripts/check.sh --replay        record/replay soak: runs the
 #                                    replay_test binary (fault-storm
 #                                    recording over 20 seeds, tiered
 #                                    and XIP configs, differential
-#                                    legs) under ASan and then TSan,
+#                                    legs) under ASan+UBSan and then TSan,
 #                                    plus a pccrun --record/--replay/
 #                                    --replay-diff round trip over a
 #                                    faulty tiered run; the TSan pass
@@ -62,7 +62,7 @@
 #                                    prove the background finalize
 #                                    worker-count independent
 #   scripts/check.sh --opt           optimization-tier soak: runs the
-#                                    opt_tier_test binary under ASan
+#                                    opt_tier_test binary under ASan+UBSan
 #                                    and then TSan, fault-injects a
 #                                    tiered finalize promotion, and
 #                                    races gen-0 against promoting
@@ -85,10 +85,11 @@ BUILD="$ROOT/build"
 EXTRA_CMAKE="-DCMAKE_CXX_FLAGS=-Werror"
 
 # Sanitizer soak scaffold shared by the --faults, --xip, --replay, --opt,
-# --certs and --fleet legs: under ASan and then TSan, configure build-$SAN,
-# build the leg's targets, run the leg's iteration function ITERS times
-# and then its post function (if any) once. Both functions see $SOAK
-# (the sanitizer build tree) and $SAN.
+# --certs and --fleet legs: under ASan+UBSan and then TSan, configure
+# build-address or build-thread, build the leg's targets (one compile
+# per CPU), run the leg's iteration function ITERS times and then its
+# post function (if any) once. Both functions see $SOAK (the sanitizer
+# build tree) and $SAN.
 #   soak LABEL ITERS "TARGETS" ITERATION_FN [POST_FN]
 soak() {
   LABEL=$1
@@ -96,11 +97,11 @@ soak() {
   TARGETS=$3
   ITERATION_FN=$4
   POST_FN=${5:-}
-  for SAN in address thread; do
-    SOAK="$ROOT/build-$SAN"
+  for SAN in address,undefined thread; do
+    SOAK="$ROOT/build-${SAN%%,*}"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     # shellcheck disable=SC2086  # TARGETS is intentionally word-split.
-    cmake --build "$SOAK" -j --target $TARGETS
+    cmake --build "$SOAK" -j "$(nproc)" --target $TARGETS
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== $LABEL soak ($SAN) iteration $I/$ITERS =="
@@ -111,7 +112,7 @@ soak() {
       "$POST_FN"
     fi
   done
-  echo "$LABEL soak passed: $ITERS iteration(s) each under ASan and TSan"
+  echo "$LABEL soak passed: $ITERS iteration(s) each under ASan+UBSan and TSan"
   exit 0
 }
 

@@ -34,11 +34,17 @@ uint32_t getU32(const uint8_t *P) {
 /// backref) the pool latches Failed and every subsequent operation
 /// returns id 0 without touching state, so one corrupted step cannot
 /// push later reads out of bounds.
+///
+/// The node storage is the caller's (cleared here), so a thread that
+/// checks many certificates reuses one buffer.
 class ReplayPool {
 public:
-  ReplayPool(const uint8_t *Bitmap, const uint8_t *Refs,
-             const uint8_t *RefsEnd, uint32_t StepCount)
-      : Bitmap(Bitmap), Ref(Refs), RefEnd(RefsEnd), StepCount(StepCount) {
+  ReplayPool(std::vector<ExprKey> &Nodes, const uint8_t *Bitmap,
+             const uint8_t *Refs, const uint8_t *RefsEnd,
+             uint32_t StepCount)
+      : Bitmap(Bitmap), Ref(Refs), RefEnd(RefsEnd), StepCount(StepCount),
+        Nodes(Nodes) {
+    Nodes.clear();
     // A genuine stream appends at most one node per step; cap the
     // reserve so a fabricated StepCount cannot demand a huge upfront
     // allocation.
@@ -81,7 +87,7 @@ private:
   const uint8_t *Ref;
   const uint8_t *RefEnd;
   uint32_t StepCount;
-  std::vector<ExprKey> Nodes;
+  std::vector<ExprKey> &Nodes;
   uint32_t Next = 0;
   bool Failed = false;
 
@@ -123,6 +129,22 @@ private:
   }
 };
 
+/// What one check needs beyond the blob, kept per thread and reused so
+/// that, once warmed up, checking a certificate allocates nothing. The
+/// checker runs on the engine thread, on pcc-dbcheck's per-file workers
+/// and on tiered-store fill workers; thread_local keeps them apart.
+struct CheckScratch {
+  std::vector<ExprKey> Nodes;
+  SymTrace S, T;
+  std::vector<uint32_t> MatchedPrefix;
+  std::vector<Instruction> Source;
+};
+
+CheckScratch &checkScratch() {
+  thread_local CheckScratch PerThread;
+  return PerThread;
+}
+
 CertCheckResult fail(CertCheckStatus S, std::string Detail) {
   CertCheckResult R;
   R.Status = S;
@@ -150,23 +172,9 @@ const char *pcc::analysis::certCheckStatusName(CertCheckStatus S) {
   return "?";
 }
 
-CertCheckResult pcc::analysis::checkCertificate(
-    const Certificate &C, uint32_t GuestStart,
-    const std::vector<Instruction> &Body,
-    const std::vector<Instruction> *ExpectedSource) {
-  // The in-place blob check is the single trusted implementation;
-  // round-trip through the canonical serialization so both entry
-  // points verify identical obligations.
-  const std::vector<uint8_t> Blob = C.serialize();
-  return checkCertificateBlob(Blob.data(), Blob.size(), GuestStart, Body,
-                              ExpectedSource);
-}
-
 CertCheckResult pcc::analysis::checkCertificateBlob(
     const uint8_t *Data, size_t Size, uint32_t GuestStart,
-    const std::vector<Instruction> &Body,
-    const std::vector<Instruction> *ExpectedSource,
-    const CertBindings *Bind) {
+    std::span<const Instruction> Body, const CertBindings *Bind) {
   auto View = viewCertificate(Data, Size);
   if (!View)
     return fail(CertCheckStatus::Malformed, View.status().message());
@@ -187,50 +195,40 @@ CertCheckResult pcc::analysis::checkCertificateBlob(
   if (crc32(V.SourceBytes, SectionBytes) != V.SrcCrc)
     return fail(CertCheckStatus::BindMismatch,
                 "embedded source CRC mismatch");
-  if (Bind && Bind->BodyBytes) {
-    // Raw at-rest encodings: decode validated them and the encoding is
-    // canonical, so their CRC equals encodeAll(Body)'s.
-    if (Bind->BodyByteCount != SectionBytes ||
-        crc32(Bind->BodyBytes, Bind->BodyByteCount) != V.BodyCrc)
-      return fail(CertCheckStatus::BindMismatch,
-                  "body CRC mismatch (stale or foreign certificate)");
+  bool BodyMatches;
+  if (Bind && Bind->BodyBytes.data()) {
+    BodyMatches = Bind->BodyBytes.size() == SectionBytes &&
+                  crc32(Bind->BodyBytes.data(), SectionBytes) == V.BodyCrc;
   } else {
-    const std::vector<uint8_t> BodyBytes = isa::encodeAll(Body);
-    if (crc32(BodyBytes.data(), BodyBytes.size()) != V.BodyCrc)
-      return fail(CertCheckStatus::BindMismatch,
-                  "body CRC mismatch (stale or foreign certificate)");
+    const std::vector<uint8_t> Bytes = isa::encodeAll(Body);
+    BodyMatches = crc32(Bytes.data(), Bytes.size()) == V.BodyCrc;
   }
+  if (!BodyMatches)
+    return fail(CertCheckStatus::BindMismatch,
+                "body CRC mismatch (stale or foreign certificate)");
 
-  // 2. The source execution's instructions. With raw source bytes
-  // bound, a memcmp against the embedded section both verifies the
-  // guest-memory binding and licenses executing the caller's already
-  // decoded ExpectedSource; otherwise decode the embedded section.
-  const std::vector<Instruction> *Src = nullptr;
-  std::vector<Instruction> DecodedSrc;
-  if (ExpectedSource && Bind && Bind->SourceBytes) {
-    if (Bind->SourceByteCount != SectionBytes ||
-        std::memcmp(Bind->SourceBytes, V.SourceBytes, SectionBytes) != 0)
-      return fail(CertCheckStatus::BindMismatch,
-                  "embedded source differs from guest memory");
-    Src = ExpectedSource;
-  } else {
-    auto Decoded = isa::decodeAll(V.SourceBytes, V.InstCount);
-    if (!Decoded)
-      return fail(CertCheckStatus::Malformed,
-                  "certificate: embedded source does not decode");
-    DecodedSrc = Decoded.take();
-    if (ExpectedSource && *ExpectedSource != DecodedSrc)
-      return fail(CertCheckStatus::BindMismatch,
-                  "embedded source differs from guest memory");
-    Src = &DecodedSrc;
-  }
+  // 2. The source execution runs the embedded section, decoded into
+  // reused storage. Bound guest bytes must equal it byte for byte.
+  CheckScratch &Scratch = checkScratch();
+  if (Bind && Bind->SourceBytes.data() &&
+      (Bind->SourceBytes.size() != SectionBytes ||
+       std::memcmp(Bind->SourceBytes.data(), V.SourceBytes,
+                   SectionBytes) != 0))
+    return fail(CertCheckStatus::BindMismatch,
+                "embedded source differs from guest memory");
+  if (!isa::decodeInto(V.SourceBytes, V.InstCount, Scratch.Source).ok())
+    return fail(CertCheckStatus::Malformed,
+                "certificate: embedded source does not decode");
 
   // 3. Replay both symbolic executions through the recorded step
   // stream: source first, then the body, exactly as the prover ran
   // them. A verified stream reconstructs the prover's node ids.
-  ReplayPool Pool(V.StepBitmap, V.StepRefs, V.StepRefsEnd, V.StepCount);
-  SymTrace S = symExecute(Pool, GuestStart, *Src);
-  SymTrace T = symExecute(Pool, GuestStart, Body);
+  ReplayPool Pool(Scratch.Nodes, V.StepBitmap, V.StepRefs, V.StepRefsEnd,
+                  V.StepCount);
+  SymTrace &S = Scratch.S;
+  SymTrace &T = Scratch.T;
+  symExecute(Pool, GuestStart, Scratch.Source, S);
+  symExecute(Pool, GuestStart, Body, T);
   if (Pool.failed())
     return fail(CertCheckStatus::StepMismatch,
                 "step stream diverges from re-evaluated executions");
@@ -242,7 +240,8 @@ CertCheckResult pcc::analysis::checkCertificateBlob(
   // absent from the body only when its recorded witness is an earlier
   // source load with the identical value expression (same address,
   // same observed-store version).
-  std::vector<uint32_t> MatchedPrefix(S.Loads.size() + 1, 0);
+  std::vector<uint32_t> &MatchedPrefix = Scratch.MatchedPrefix;
+  MatchedPrefix.assign(S.Loads.size() + 1, 0);
   {
     size_t J = 0, W = 0;
     for (size_t I = 0; I != S.Loads.size(); ++I) {

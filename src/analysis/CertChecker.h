@@ -38,6 +38,7 @@
 #include "analysis/Certificate.h"
 #include "isa/Instruction.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,53 +70,37 @@ struct CertCheckResult {
   bool ok() const { return Status == CertCheckStatus::Ok; }
 };
 
-/// Optional raw-byte bindings for at-rest checks (dbcheck, L2 fills,
-/// benchmarks), letting the checker CRC the caller's stored encodings
-/// instead of re-encoding the decoded vectors. Sound because the
-/// instruction encoding is canonical: decode validates every field and
-/// the in-memory layout equals the 8-byte wire form, so raw bytes and
-/// encodeAll(decodeAll(bytes)) are the same bytes. Do NOT bind BodyBytes
-/// to a rebased (position-adjusted) body — at prime time the body bytes
-/// in memory are no longer the bytes the proof covers; leave the
-/// binding empty there and the checker re-encodes.
+/// Optional raw-byte bindings, letting the checker compare the caller's
+/// stored encodings instead of re-encoding or decoding instruction
+/// vectors. A span binds when its data() is non-null.
 struct CertBindings {
-  /// The stored GuestInstCount * 8 body encodings, exactly as persisted.
-  const uint8_t *BodyBytes = nullptr;
-  size_t BodyByteCount = 0;
-  /// The raw guest bytes \p ExpectedSource was decoded from; enables a
-  /// memcmp against the embedded source instead of decode + compare.
-  const uint8_t *SourceBytes = nullptr;
-  size_t SourceByteCount = 0;
+  /// The body's GuestInstCount * 8 stored encodings: exactly the bytes
+  /// Body was decoded from, or validated in place as. The encoding is
+  /// canonical (decode checks every field, and the in-memory layout is
+  /// pinned to the 8-byte wire form), so these bytes equal
+  /// encodeAll(Body) and their CRC replaces the re-encode.
+  std::span<const uint8_t> BodyBytes = {};
+  /// The raw guest bytes at GuestStart (InstCount * 8 of them). Bound,
+  /// they must equal the certificate's embedded source byte for byte —
+  /// a memcmp that binds the proof to guest memory.
+  std::span<const uint8_t> SourceBytes = {};
 };
 
-/// Checks that \p C proves \p Body (the decoded gen-N instructions of a
-/// trace at guest address \p GuestStart) equivalent to the certificate's
-/// embedded source. When \p ExpectedSource is provided (prime with the
-/// module mapped, dbcheck --deep), the embedded source must equal it,
-/// binding the proof to the real guest bytes; when null (L2 fills,
-/// module-less checks), the embedded source is still covered by SrcCrc,
-/// and the check establishes body-vs-embedded-source equivalence.
-CertCheckResult
-checkCertificate(const Certificate &C, uint32_t GuestStart,
-                 const std::vector<isa::Instruction> &Body,
-                 const std::vector<isa::Instruction> *ExpectedSource =
-                     nullptr);
-
 /// Structurally validates \p Data/\p Size (returning Malformed on
-/// damage) and checks it against \p Body as checkCertificate, consuming
-/// the blob's sections in place — this is the hot path primed installs
-/// and store fills pay, so it materializes no Certificate. \p Bind, when
-/// provided, supplies the caller's raw at-rest encodings (see
-/// CertBindings) so the binding CRCs run over existing bytes. When
-/// Bind->SourceBytes and \p ExpectedSource are both given they must
-/// describe the same instructions (ExpectedSource == decodeAll of
-/// SourceBytes); the checker then verifies the embedded source by
-/// memcmp and executes \p *ExpectedSource directly.
-CertCheckResult checkCertificateBlob(
-    const uint8_t *Data, size_t Size, uint32_t GuestStart,
-    const std::vector<isa::Instruction> &Body,
-    const std::vector<isa::Instruction> *ExpectedSource = nullptr,
-    const CertBindings *Bind = nullptr);
+/// damage) and checks that the certificate proves \p Body (the gen-N
+/// instructions of a trace at guest address \p GuestStart) equivalent
+/// to its embedded source, consuming the blob's sections in place: no
+/// Certificate is materialized, and the replay pool, symbolic traces
+/// and decoded source live in per-thread storage reused across calls.
+/// \p Bind, when provided, supplies the caller's raw bytes (see
+/// CertBindings). With guest bytes bound the proof is about the real
+/// guest code (prime, dbcheck --deep); without them (L2 fills,
+/// module-less checks) the embedded source is still covered by SrcCrc,
+/// and the check establishes body-vs-embedded-source equivalence.
+CertCheckResult checkCertificateBlob(const uint8_t *Data, size_t Size,
+                                     uint32_t GuestStart,
+                                     std::span<const isa::Instruction> Body,
+                                     const CertBindings *Bind = nullptr);
 
 } // namespace analysis
 } // namespace pcc

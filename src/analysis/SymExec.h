@@ -35,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -103,7 +104,9 @@ struct LoadRec {
   }
 };
 
-/// The observable effects of one symbolic execution.
+/// The observable effects of one symbolic execution. symExecute()
+/// clears and refills one, so a caller that keeps its SymTraces across
+/// calls reuses their storage.
 struct SymTrace {
   std::vector<SymExit> Exits;
   /// All stores in program order: (address expr, value expr).
@@ -155,22 +158,24 @@ uint32_t canonicalBin(PoolT &Pool, isa::Opcode Op, uint32_t A,
 
 /// Symbolically executes \p Body following vm::executeInstruction's
 /// semantics exactly (operands read before any write; Call pushes the
-/// return address below the old stack pointer; Ret pops). PoolT
-/// additionally provides init(Reg), konst(Value), bin(Op, A, B) and
-/// load(Addr, Version).
+/// return address below the old stack pointer; Ret pops), leaving its
+/// effects in \p T (cleared first). PoolT additionally provides
+/// init(Reg), konst(Value), bin(Op, A, B) and load(Addr, Version).
 ///
 /// The instruction walk is deliberately the only definition in the
 /// system: the prover records its intern decisions while running it,
 /// and the checker re-runs the identical template, so the two sides
 /// intern in exactly the same order with no separate bookkeeping.
 template <class PoolT>
-SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
-                    const std::vector<isa::Instruction> &Body) {
+void symExecute(PoolT &Pool, uint32_t GuestStart,
+                std::span<const isa::Instruction> Body, SymTrace &T) {
   using isa::Instruction;
   using isa::InstructionSize;
   using isa::Opcode;
 
-  SymTrace T;
+  T.Exits.clear();
+  T.Stores.clear();
+  T.Loads.clear();
   // At most one load per instruction; reserving once keeps the hot
   // walk free of vector growth for both prover and checker.
   T.Loads.reserve(Body.size());
@@ -201,7 +206,7 @@ SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
       break;
     case Opcode::Halt:
       Snapshot(SymExit{SymExit::Kind::Halt, I, NoExpr, NoExpr, 0});
-      return T;
+      return;
     case Opcode::Add:
     case Opcode::Sub:
     case Opcode::Mul:
@@ -251,7 +256,7 @@ SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
     case Opcode::Jmp:
       Snapshot(SymExit{SymExit::Kind::Direct, I, NoExpr,
                        Pool.konst(Inst.Imm), 0});
-      return T;
+      return;
     case Opcode::Call:
     case Opcode::Callr: {
       uint32_t NewSp =
@@ -264,11 +269,11 @@ SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
                          Pool.konst(Inst.Imm), 0});
       else
         Snapshot(SymExit{SymExit::Kind::Indirect, I, NoExpr, A, 0});
-      return T;
+      return;
     }
     case Opcode::Jr:
       Snapshot(SymExit{SymExit::Kind::Indirect, I, NoExpr, A, 0});
-      return T;
+      return;
     case Opcode::Ret: {
       uint32_t Addr = Regs[Sp];
       uint32_t Return = Pool.load(Addr, Version());
@@ -277,12 +282,12 @@ SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
           Pool.bin(Opcode::Add, Addr, Pool.konst(4));
       Snapshot(
           SymExit{SymExit::Kind::Indirect, I, NoExpr, Return, 0});
-      return T;
+      return;
     }
     case Opcode::Sys:
       Snapshot(SymExit{SymExit::Kind::Syscall, I, NoExpr,
                        Pool.konst(FallPc), Inst.Imm});
-      return T;
+      return;
     case Opcode::NumOpcodes:
       break;
     }
@@ -295,7 +300,6 @@ SymTrace symExecute(PoolT &Pool, uint32_t GuestStart,
                      static_cast<uint32_t>(Body.size()) - 1, NoExpr,
                      Pool.konst(EndPc), 0});
   }
-  return T;
 }
 
 } // namespace analysis

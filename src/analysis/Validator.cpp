@@ -96,8 +96,8 @@ std::string ValidationResult::message() const {
 }
 
 ValidationResult pcc::analysis::validateTranslation(
-    uint32_t GuestStart, const std::vector<Instruction> &Source,
-    const std::vector<Instruction> &Translated, Certificate *CertOut) {
+    uint32_t GuestStart, std::span<const Instruction> Source,
+    std::span<const Instruction> Translated, Certificate *CertOut) {
   if (CertOut)
     *CertOut = Certificate{};
   if (Source.size() != Translated.size())
@@ -112,8 +112,9 @@ ValidationResult pcc::analysis::validateTranslation(
   std::vector<uint32_t> Steps;
   if (CertOut)
     Pool.Transcript = &Steps;
-  SymTrace S = symExecute(Pool, GuestStart, Source);
-  SymTrace T = symExecute(Pool, GuestStart, Translated);
+  SymTrace S, T;
+  symExecute(Pool, GuestStart, Source, S);
+  symExecute(Pool, GuestStart, Translated, T);
 
   // Match the translated loads against the source loads as an ordered
   // subsequence. A source load may be absent from the translation only
@@ -217,7 +218,7 @@ ValidationResult pcc::analysis::validateTranslation(
     // which generation this body will be published as.
     Certificate &C = *CertOut;
     C.GuestStart = GuestStart;
-    C.Source = Source;
+    C.Source.assign(Source.begin(), Source.end());
     const std::vector<uint8_t> SrcBytes = isa::encodeAll(Source);
     C.SrcCrc = crc32(SrcBytes.data(), SrcBytes.size());
     const std::vector<uint8_t> BodyBytes = isa::encodeAll(Translated);
@@ -235,7 +236,7 @@ ValidationResult pcc::analysis::validateTranslation(
 }
 
 ValidationResult pcc::analysis::validateTranslation(
-    uint32_t GuestStart, const std::vector<Instruction> &Source,
-    const std::vector<Instruction> &Translated) {
+    uint32_t GuestStart, std::span<const Instruction> Source,
+    std::span<const Instruction> Translated) {
   return validateTranslation(GuestStart, Source, Translated, nullptr);
 }

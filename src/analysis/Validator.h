@@ -72,20 +72,20 @@ struct ValidationResult {
 /// address).
 ValidationResult
 validateTranslation(uint32_t GuestStart,
-                    const std::vector<isa::Instruction> &Source,
-                    const std::vector<isa::Instruction> &Translated);
+                    std::span<const isa::Instruction> Source,
+                    std::span<const isa::Instruction> Translated);
 
 /// As above, and on success additionally emits into \p CertOut a
 /// proof-carrying certificate (analysis::Certificate) from which the
-/// minimal checker (analysis::checkCertificate) can re-establish the
+/// minimal checker (analysis::checkCertificateBlob) can re-establish the
 /// verdict without re-running the prover. \p CertOut may be null (then
 /// this is exactly the plain overload); on failure it is reset to an
 /// empty certificate. The caller fills Certificate::OptGen — the
 /// validator does not know the generation the body publishes as.
 ValidationResult
 validateTranslation(uint32_t GuestStart,
-                    const std::vector<isa::Instruction> &Source,
-                    const std::vector<isa::Instruction> &Translated,
+                    std::span<const isa::Instruction> Source,
+                    std::span<const isa::Instruction> Translated,
                     Certificate *CertOut);
 
 } // namespace analysis

@@ -77,7 +77,8 @@ void CodeCache::reserveTraces(size_t N) {
   Traces.reserve(Traces.size() + N);
 }
 
-Status CodeCache::installPersistedPool(std::vector<uint8_t> PoolBytes) {
+Status CodeCache::installPersistedPool(std::vector<uint8_t> PoolBytes,
+                                       std::shared_ptr<const void> Keepalive) {
   if (!Traces.empty() || !CodePool.empty() || BorrowedSize != 0)
     return Status::error(ErrorCode::InvalidArgument,
                          "cache not empty at persistent-pool install");
@@ -85,6 +86,7 @@ Status CodeCache::installPersistedPool(std::vector<uint8_t> PoolBytes) {
     return Status::error(ErrorCode::OutOfMemory,
                          "persistent pool exceeds code pool capacity");
   CodePool = std::move(PoolBytes);
+  PersistedKeepalive = std::move(Keepalive);
   // Mapped, not resident: pages fault in on first touch.
   ResidentPages.assign((CodePool.size() + PageSize - 1) / PageSize, false);
   return Status::success();
@@ -100,7 +102,7 @@ Status CodeCache::installBorrowedPool(const uint8_t *Data, size_t Size,
                          "borrowed pool exceeds code pool capacity");
   Borrowed = Data;
   BorrowedSize = Size;
-  BorrowedKeepalive = std::move(Keepalive);
+  PersistedKeepalive = std::move(Keepalive);
   // Same demand-paging model as an owned persisted pool: mapped, not
   // resident; pages fault in on first touch.
   ResidentPages.assign((Size + PageSize - 1) / PageSize, false);
@@ -163,7 +165,7 @@ void CodeCache::flush() {
   // A borrowed pool is unmapped (keepalive released), never freed.
   Borrowed = nullptr;
   BorrowedSize = 0;
-  BorrowedKeepalive.reset();
+  PersistedKeepalive.reset();
   ResidentPages.clear();
   DataPoolUsed = 0;
   ++ModificationGeneration;
@@ -193,19 +195,25 @@ uint32_t CodeCache::evictOldest(double Fraction) {
   // not freed) at the end.
   std::vector<uint8_t> NewPool;
   NewPool.reserve(BorrowedSize + CodePool.size());
+  bool PayloadsLeft = false;
   for (auto &T : Traces) {
     uint32_t NewOffset = static_cast<uint32_t>(NewPool.size());
     const uint8_t *Src = codeAt(T->poolOffset());
     NewPool.insert(NewPool.end(), Src, Src + T->poolBytes());
     T->relocateInPool(NewOffset);
     T->disownBody();
-    if (PersistedPayload *P = T->persistedPayload())
+    if (PersistedPayload *P = T->persistedPayload()) {
       P->Xip = false;
+      PayloadsLeft = true;
+    }
   }
   CodePool = std::move(NewPool);
   Borrowed = nullptr;
   BorrowedSize = 0;
-  BorrowedKeepalive.reset();
+  // Surviving payloads still view the primed file (certificates, reloc
+  // masks), so its owner stays until the last of them is gone.
+  if (!PayloadsLeft)
+    PersistedKeepalive.reset();
   // Compaction copies everything through memory: all pages resident.
   ResidentPages.assign(
       (CodePool.size() + PageSize - 1) / PageSize, true);

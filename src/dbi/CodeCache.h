@@ -52,14 +52,21 @@ struct TraceExit {
 /// persistent cache: the payload CRC recorded in the cache file's trace
 /// index, plus the position-independent rebase that must be applied to
 /// the raw stored bytes *after* the CRC is verified. Cleared once the
-/// trace materializes successfully.
+/// trace materializes successfully. The spans view the primed cache
+/// file, which the code cache keeps alive (installPersistedPool /
+/// installBorrowedPool keepalive) for as long as any payload remains.
 struct PersistedPayload {
   uint32_t ExpectedCodeCrc = 0;
   /// Load-address delta to rebase position-independent immediates by;
   /// zero when no rebase is needed.
   int64_t RebaseDelta = 0;
-  /// Per-instruction reloc bitmask (empty when RebaseDelta == 0).
-  std::vector<uint8_t> RelocMask;
+  /// Per-instruction reloc bitmask of a position-independent record
+  /// (empty otherwise).
+  std::span<const uint8_t> RelocMask = {};
+  /// Validation certificate of a promoted record, checked when the
+  /// trace first executes; empty when the record carries none or a
+  /// rebase invalidated it (the certificate binds the stored bytes).
+  std::span<const uint8_t> Cert = {};
   /// Index of this trace in the source cache file's trace index, so
   /// finalize() can harvest unexecuted traces without decoding them.
   uint32_t SourceTraceIndex = 0;
@@ -249,16 +256,21 @@ public:
 
   /// Replaces the code pool with the memory-mapped contents of a
   /// persistent cache; only valid on an empty cache. Subsequent
-  /// allocateCode() calls append after the mapped image.
-  Status installPersistedPool(std::vector<uint8_t> PoolBytes);
+  /// allocateCode() calls append after the mapped image. \p Keepalive
+  /// owns what the traces' PersistedPayload spans view (null when they
+  /// view nothing); it is held until flush() or until eviction leaves
+  /// no payload behind.
+  Status installPersistedPool(std::vector<uint8_t> PoolBytes,
+                              std::shared_ptr<const void> Keepalive = {});
 
   /// Execute-in-place variant: the pool's first \p Size bytes are a
   /// *borrowed* read-only mapping (an XIP cache file's payload section)
   /// kept alive by \p Keepalive; nothing is copied. Only valid on an
   /// empty cache. Offsets below \p Size resolve into the mapping and
   /// are never writable (shared pages stay clean); allocateCode()
-  /// appends owned storage after it. flush() and eviction release the
-  /// keepalive — unmap, not free.
+  /// appends owned storage after it. flush() and eviction unmap the
+  /// pool — release, not free; the keepalive also owns what the
+  /// payload spans view, so it goes with the last payload.
   Status installBorrowedPool(const uint8_t *Data, size_t Size,
                              std::shared_ptr<const void> Keepalive);
 
@@ -328,7 +340,9 @@ private:
   /// to CodePool[Offset - BorrowedSize].
   const uint8_t *Borrowed = nullptr;
   size_t BorrowedSize = 0;
-  std::shared_ptr<const void> BorrowedKeepalive;
+  /// Owner of the primed cache file: the borrowed mapping and the
+  /// storage every PersistedPayload span views.
+  std::shared_ptr<const void> PersistedKeepalive;
   uint64_t DataPoolUsed = 0;
   std::vector<std::unique_ptr<TranslatedTrace>> Traces;
   std::unordered_map<uint32_t, TranslatedTrace *> TranslationMap;

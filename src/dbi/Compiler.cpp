@@ -114,7 +114,7 @@ ErrorOr<TranslatedTrace *> Compiler::compile(uint32_t StartAddr,
 
 void pcc::dbi::rebaseTranslatedImage(uint8_t *TraceImage,
                                      size_t ImageBytes, uint32_t InstCount,
-                                     const std::vector<uint8_t> &RelocMask,
+                                     std::span<const uint8_t> RelocMask,
                                      int64_t Delta) {
   for (uint32_t Inst = 0; Inst != InstCount; ++Inst) {
     if (Inst / 8 >= RelocMask.size() ||

@@ -44,7 +44,7 @@ inline constexpr uint32_t InstrumentStubBytes = 16;
 /// after the deferred CRC check over the stored bytes.
 void rebaseTranslatedImage(uint8_t *TraceImage, size_t ImageBytes,
                            uint32_t InstCount,
-                           const std::vector<uint8_t> &RelocMask,
+                           std::span<const uint8_t> RelocMask,
                            int64_t Delta);
 
 /// Compiles traces on behalf of one engine run.

@@ -103,9 +103,16 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
           ErrorCode::InvalidFormat,
           "persisted trace body fails in-place field validation");
     if (ValidateMaterialize) {
-      std::vector<Instruction> Copy(InPlace,
-                                    InPlace + T->guestInstCount());
-      Status Verdict = runMaterializeCheck(T->guestStart(), Copy);
+      // The hook reads the mapping too: the body where it lies, and the
+      // same bytes as its encodings (the layout is the encoding, and
+      // validInPlace just checked every field).
+      Status Verdict = runMaterializeCheck(
+          {T->guestStart(),
+           {InPlace, T->guestInstCount()},
+           {Raw + TracePrologueBytes,
+            size_t{T->guestInstCount()} * isa::InstructionSize},
+           P->Cert,
+           T->optGen() > 0});
       if (!Verdict.ok())
         return Verdict;
     }
@@ -135,10 +142,13 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
                           P->RelocMask, P->RebaseDelta);
   else
     T->setVerifiedCodeCrc(P->ExpectedCodeCrc);
+  // The certificate is a view into the primed file, which the cache
+  // keeps alive; it outlives the payload record.
+  const std::span<const uint8_t> Cert = P->Cert;
   T->clearPersistedPayload();
-  auto Body = isa::decodeAll(
-      Cache.codeAt(T->poolOffset() + TracePrologueBytes),
-      T->guestInstCount());
+  const uint8_t *BodyBytes =
+      Cache.codeAt(T->poolOffset() + TracePrologueBytes);
+  auto Body = isa::decodeAll(BodyBytes, T->guestInstCount());
   if (!Body)
     return Body.status();
   if (ValidateMaterialize) {
@@ -146,7 +156,12 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
     // effect-equivalent to the guest instructions it claims to
     // translate. Runs before materialize so a rejected trace follows
     // the same drop-and-retranslate path as a CRC mismatch.
-    Status Verdict = runMaterializeCheck(T->guestStart(), *Body);
+    Status Verdict = runMaterializeCheck(
+        {T->guestStart(),
+         *Body,
+         {BodyBytes, Body->size() * isa::InstructionSize},
+         Cert,
+         T->optGen() > 0});
     if (!Verdict.ok())
       return Verdict;
   }
@@ -156,10 +171,9 @@ Status Engine::ensureMaterialized(TranslatedTrace *T) {
   return Status::success();
 }
 
-Status Engine::runMaterializeCheck(
-    uint32_t GuestStart, const std::vector<Instruction> &Body) {
+Status Engine::runMaterializeCheck(const MaterializeCheck &Check) {
   MaterializeCheckInfo Info;
-  Status Verdict = ValidateMaterialize(GuestStart, Body, Info);
+  Status Verdict = ValidateMaterialize(Check, Info);
   Stats.CertsChecked += Info.CertsChecked;
   Stats.CertChecksFailed += Info.CertChecksFailed;
   Stats.ProofsReplayed += Info.ProofsReplayed;

@@ -29,6 +29,7 @@
 #include "vm/Machine.h"
 
 #include <functional>
+#include <span>
 
 namespace pcc {
 namespace dbi {
@@ -117,18 +118,35 @@ public:
     uint32_t ProofsReplayed = 0;
   };
 
+  /// One persisted body presented to the materialize-check hook, with
+  /// the stored bytes it came from — all views, nothing copied.
+  struct MaterializeCheck {
+    uint32_t GuestStart = 0;
+    /// The body about to become executable: the mapped instructions
+    /// under XIP, the decoded (possibly rebased) pool copy otherwise.
+    std::span<const isa::Instruction> Body = {};
+    /// Body's encodings as they sit in the code pool: the bytes Body
+    /// was validated in place as (XIP) or decoded from, so equal to
+    /// isa::encodeAll(Body).
+    std::span<const uint8_t> BodyBytes = {};
+    /// The validation certificate that rode in with the persisted
+    /// record (PersistedPayload::Cert); empty when there is none.
+    std::span<const uint8_t> Cert = {};
+    /// The body is promoted (optimization generation >= 1).
+    bool Promoted = false;
+  };
+
   /// Deep-verification hook run when a persisted trace's body is
   /// decoded at its first execution, before the trace becomes
-  /// executable. Receives the trace's guest start address, its decoded
-  /// (rebased) body, and an Info out-param describing the verification
-  /// work done; a non-success Status rejects the trace, which is then
-  /// dropped and retranslated from guest memory exactly like a payload
-  /// CRC failure. Installed by persist::Session when
+  /// executable. Receives the body and its bytes (MaterializeCheck)
+  /// and an Info out-param describing the verification work done; a
+  /// non-success Status rejects the trace, which is then dropped and
+  /// retranslated from guest memory exactly like a payload CRC
+  /// failure. Installed by persist::Session when
   /// PersistOptions::ValidateSemantic or certificate checking applies;
   /// the engine itself stays persistence-agnostic.
   using MaterializeValidator = std::function<Status(
-      uint32_t GuestStart, const std::vector<isa::Instruction> &Body,
-      MaterializeCheckInfo &Info)>;
+      const MaterializeCheck &Check, MaterializeCheckInfo &Info)>;
   void setMaterializeValidator(MaterializeValidator V) {
     ValidateMaterialize = std::move(V);
   }
@@ -162,12 +180,11 @@ private:
   /// demand-paged I/O when a residency probe is attached.
   void chargePersistFirstTouch(TranslatedTrace *T);
 
-  /// Runs ValidateMaterialize over \p Body, folding the hook's
+  /// Runs ValidateMaterialize over \p Check, folding the hook's
   /// MaterializeCheckInfo into Stats (certificate and re-proof
   /// counters; TracesVerified only when the hook actually verified).
   /// Must only be called with the hook installed.
-  Status runMaterializeCheck(uint32_t GuestStart,
-                             const std::vector<isa::Instruction> &Body);
+  Status runMaterializeCheck(const MaterializeCheck &Check);
 
   vm::Machine &M;
   Tool *ClientTool;

@@ -231,15 +231,18 @@ Instruction pcc::isa::makeSys(uint32_t Number) {
   return Inst;
 }
 
+/// True when the encoding at \p P decodes: the checks decode() makes.
+static bool encodingValid(const uint8_t *P) {
+  return P[0] < static_cast<uint8_t>(Opcode::NumOpcodes) &&
+         P[1] < NumRegisters && P[2] < NumRegisters && P[3] < NumRegisters;
+}
+
 bool pcc::isa::validInPlace(const Instruction *Insts, size_t Count) {
-  for (size_t I = 0; I != Count; ++I) {
-    const Instruction &Inst = Insts[I];
-    if (static_cast<uint8_t>(Inst.Op) >=
-            static_cast<uint8_t>(Opcode::NumOpcodes) ||
-        Inst.Rd >= NumRegisters || Inst.Rs1 >= NumRegisters ||
-        Inst.Rs2 >= NumRegisters)
+  // The in-memory layout is the encoding (static_asserts in the header),
+  // so the object bytes are checked exactly as encoded bytes are.
+  for (size_t I = 0; I != Count; ++I)
+    if (!encodingValid(reinterpret_cast<const uint8_t *>(Insts + I)))
       return false;
-  }
   return true;
 }
 
@@ -277,20 +280,48 @@ DecodeResult pcc::isa::decodeBuffer(const uint8_t *Bytes,
 ErrorOr<std::vector<Instruction>> pcc::isa::decodeAll(const uint8_t *Bytes,
                                                       size_t Count) {
   std::vector<Instruction> Insts;
-  Insts.reserve(Count);
-  for (size_t I = 0; I != Count; ++I) {
-    auto Inst = Instruction::decode(Bytes + I * InstructionSize);
-    if (!Inst)
-      return DecodeError{I * InstructionSize, I,
-                         Inst.status().message()}
-          .toStatus();
-    Insts.push_back(*Inst);
-  }
+  Status S = decodeInto(Bytes, Count, Insts);
+  if (!S.ok())
+    return S;
   return Insts;
 }
 
+Status pcc::isa::checkEncodings(const uint8_t *Bytes, size_t Count) {
+  for (size_t I = 0; I != Count; ++I) {
+    const uint8_t *P = Bytes + I * InstructionSize;
+    if (!encodingValid(P))
+      return DecodeError{I * InstructionSize, I,
+                         Instruction::decode(P).status().message()}
+          .toStatus();
+  }
+  return Status::success();
+}
+
+Status pcc::isa::decodeInto(const uint8_t *Bytes, size_t Count,
+                            std::vector<Instruction> &Out) {
+  Out.clear();
+  Status Valid = checkEncodings(Bytes, Count);
+  if (!Valid.ok())
+    return Valid;
+  // Every field is in range, so the rest of decode() is field copies.
+  Out.resize(Count);
+  for (size_t I = 0; I != Count; ++I) {
+    const uint8_t *P = Bytes + I * InstructionSize;
+    Instruction &Inst = Out[I];
+    Inst.Op = static_cast<Opcode>(P[0]);
+    Inst.Rd = P[1];
+    Inst.Rs1 = P[2];
+    Inst.Rs2 = P[3];
+    Inst.Imm = static_cast<uint32_t>(P[4]) |
+               static_cast<uint32_t>(P[5]) << 8 |
+               static_cast<uint32_t>(P[6]) << 16 |
+               static_cast<uint32_t>(P[7]) << 24;
+  }
+  return Status::success();
+}
+
 std::vector<uint8_t> pcc::isa::encodeAll(
-    const std::vector<Instruction> &Insts) {
+    std::span<const Instruction> Insts) {
   std::vector<uint8_t> Bytes;
   Bytes.reserve(Insts.size() * InstructionSize);
   for (const Instruction &Inst : Insts)

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -161,8 +162,21 @@ DecodeResult decodeBuffer(const uint8_t *Bytes, size_t NumBytes);
 ErrorOr<std::vector<Instruction>> decodeAll(const uint8_t *Bytes,
                                             size_t Count);
 
+/// Checks, without decoding, that \p Count encodings at \p Bytes would
+/// all decode: success, or exactly the error decodeAll would return.
+Status checkEncodings(const uint8_t *Bytes, size_t Count);
+
+/// As decodeAll, into \p Out (cleared first, its capacity reused), so a
+/// caller that decodes repeatedly allocates only while \p Out grows.
+Status decodeInto(const uint8_t *Bytes, size_t Count,
+                  std::vector<Instruction> &Out);
+
 /// Encodes a sequence of instructions into contiguous bytes.
-std::vector<uint8_t> encodeAll(const std::vector<Instruction> &Insts);
+std::vector<uint8_t> encodeAll(std::span<const Instruction> Insts);
+/// Vector (and braced-list) form of the above.
+inline std::vector<uint8_t> encodeAll(const std::vector<Instruction> &Insts) {
+  return encodeAll(std::span<const Instruction>(Insts));
+}
 
 } // namespace isa
 } // namespace pcc

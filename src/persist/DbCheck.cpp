@@ -151,9 +151,8 @@ std::string deepCheckFile(CacheFile &File, const DeepContext &Deep,
       Flag("body extends past module text");
       continue;
     }
-    std::vector<isa::Instruction> Source(
-        Insts->begin() + First,
-        Insts->begin() + First + Rec.GuestInstCount);
+    const std::vector<uint8_t> Source = isa::encodeAll(
+        std::span(Insts->data() + First, Rec.GuestInstCount));
     analysis::Certificate Fresh;
     const bool WantFresh = Repair && Rec.OptGen > 0;
     ProofVerdict V = proveTrace({.GuestStart = Rec.GuestStart,

@@ -84,26 +84,24 @@ static uint32_t accumulatedHeat(uint32_t Prior, uint64_t Executions) {
                              : static_cast<uint32_t>(Sum);
 }
 
-/// Reads and decodes \p Count guest instructions starting at \p Start
-/// from the live address space — the source side of a deep semantic
-/// verification.
-static ErrorOr<std::vector<isa::Instruction>>
-fetchGuestSource(const loader::AddressSpace &Space, uint32_t Start,
-                 uint32_t Count) {
-  std::vector<isa::Instruction> Out;
-  Out.reserve(Count);
-  for (uint32_t I = 0; I != Count; ++I) {
-    uint8_t Bytes[isa::InstructionSize];
-    Status S = Space.fetchInstructionBytes(
-        Start + I * isa::InstructionSize, Bytes);
-    if (!S.ok())
-      return S;
-    auto Inst = isa::Instruction::decode(Bytes);
-    if (!Inst)
-      return Inst.status();
-    Out.push_back(*Inst);
-  }
-  return Out;
+/// Reads the \p Count guest instruction encodings at \p Start from the
+/// live address space into \p Bytes (its capacity reused) with one
+/// readBytes — the source side of a deep semantic verification. Fails
+/// when the range is unmapped or an encoding would not decode, so the
+/// bytes are always decodeAll-able.
+static Status readGuestSource(const loader::AddressSpace &Space,
+                              uint32_t Start, uint32_t Count,
+                              std::vector<uint8_t> &Bytes) {
+  const uint64_t Size = uint64_t{Count} * isa::InstructionSize;
+  if (Size > UINT32_MAX)
+    return Status::error(ErrorCode::InvalidArgument,
+                         "guest source range too large");
+  Bytes.resize(Size);
+  Status S = Space.readBytes(Start, Bytes.data(),
+                             static_cast<uint32_t>(Size));
+  if (!S.ok())
+    return S;
+  return isa::checkEncodings(Bytes.data(), Count);
 }
 
 ErrorOr<StoredCache>
@@ -240,49 +238,43 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
       return Map->touch(PayloadId, Page);
     });
   }
-  if (Opts.ValidateSemantic || !PrimedCerts.empty()) {
+  if (Opts.ValidateSemantic || PromotedInstalled) {
     // Verification at materialization: whenever a primed trace's body
     // is decoded at its first execution, it goes through proveTrace()
-    // against the guest instructions at its start address — promoted
-    // traces, and under Opts.ValidateSemantic every trace. A trace that
-    // fails is dropped for retranslation — and, once per session, the
-    // source cache is quarantined so later runs stop re-priming a
-    // miscompiled database (CertificateInvalid when a certificate lied
-    // and the re-proof agreed it was wrong; SemanticMismatch
-    // otherwise). The certificates are spans into the view, which the
-    // hook keeps alive.
+    // against the guest bytes at its start address — promoted traces,
+    // and under Opts.ValidateSemantic every trace. A trace that fails
+    // is dropped for retranslation — and, once per session, the source
+    // cache is quarantined so later runs stop re-priming a miscompiled
+    // database (CertificateInvalid when a certificate lied and the
+    // re-proof agreed it was wrong; SemanticMismatch otherwise). The
+    // engine passes the body, its stored bytes and the certificate as
+    // views into the code pool and the primed file; the guest bytes
+    // are read into one buffer the hook reuses.
     std::shared_ptr<CacheStore> StorePtr = Db.backend();
     auto AlreadyQuarantined = std::make_shared<bool>(false);
     std::string Ref = Result.CachePath;
     loader::AddressSpace &Space = Engine.machine().space();
-    auto Certs = std::make_shared<
-        std::unordered_map<uint32_t, std::span<const uint8_t>>>(
-        std::move(PrimedCerts));
-    PrimedCerts.clear();
     const bool ValidateAll = Opts.ValidateSemantic;
     Engine.setMaterializeValidator(
-        [&Space, StorePtr, AlreadyQuarantined, Ref, Certs, ValidateAll,
-         View = LoadedView](uint32_t GuestStart,
-                            const std::vector<isa::Instruction> &Body,
-                            dbi::Engine::MaterializeCheckInfo &Info)
-            -> Status {
-          auto It = Certs->find(GuestStart);
-          const bool Promoted = It != Certs->end();
-          if (!Promoted && !ValidateAll)
+        [&Space, StorePtr, AlreadyQuarantined, Ref, ValidateAll,
+         SourceBytes = std::vector<uint8_t>()](
+            const dbi::Engine::MaterializeCheck &Check,
+            dbi::Engine::MaterializeCheckInfo &Info) mutable -> Status {
+          if (!Check.Promoted && !ValidateAll)
             return Status::success(); // Unpromoted, not validating.
-          auto Source = fetchGuestSource(
-              Space, GuestStart, static_cast<uint32_t>(Body.size()));
-          if (!Source)
-            return Source.status();
-          ProofVerdict V =
-              proveTrace({.GuestStart = GuestStart,
-                          .Body = &Body,
-                          .Source = &*Source,
-                          .Cert = Promoted ? It->second
-                                           : std::span<const uint8_t>()});
+          Status Read = readGuestSource(
+              Space, Check.GuestStart,
+              static_cast<uint32_t>(Check.Body.size()), SourceBytes);
+          if (!Read.ok())
+            return Read;
+          ProofVerdict V = proveTrace({.GuestStart = Check.GuestStart,
+                                       .Body = Check.Body,
+                                       .BodyBytes = Check.BodyBytes,
+                                       .Source = &SourceBytes,
+                                       .Cert = Check.Cert});
           Info.CertsChecked += V.CertChecked;
           Info.CertChecksFailed += V.CertRejected;
-          Info.ProofsReplayed += Promoted && V.ProverRan;
+          Info.ProofsReplayed += Check.Promoted && V.ProverRan;
           Info.Verified = V.Proved;
           if (V.Proved)
             return Status::success();
@@ -452,7 +444,8 @@ Status PersistentSession::installView(dbi::Engine &Engine,
                   Code + View.entry(Install.TraceIndex).CodeSize);
     }
     Result.PayloadBytesCopied = Pool.size();
-    Status S = Cache.installPersistedPool(std::move(Pool));
+    Status S = Cache.installPersistedPool(
+        std::move(Pool), std::shared_ptr<const void>(LoadedView));
     if (!S.ok())
       return S;
   }
@@ -475,10 +468,14 @@ Status PersistentSession::installView(dbi::Engine &Engine,
     Payload->RebaseDelta = Install.RebaseDelta;
     // Also kept under XIP, which never rebases: finalize() re-emits an
     // unexecuted trace's reloc mask with the record it carries forward.
-    if (Opts.PositionIndependent) {
-      const std::span<const uint8_t> Mask =
-          View.relocMaskOf(Install.TraceIndex);
-      Payload->RelocMask.assign(Mask.begin(), Mask.end());
+    if (Opts.PositionIndependent)
+      Payload->RelocMask = View.relocMaskOf(Install.TraceIndex);
+    if (E.OptGen > 0 && Install.RebaseDelta == 0) {
+      // A certificate binds to the exact stored body bytes, so a rebase
+      // invalidates it: the promoted trace is then re-proved in full at
+      // materialization (empty span).
+      auto [CertData, CertSize] = View.certBlobOf(Install.TraceIndex);
+      Payload->Cert = {CertData, CertSize};
     }
     Payload->SourceTraceIndex = Install.TraceIndex;
     Payload->Xip = Xip;
@@ -496,16 +493,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       continue;
     }
     Install.Added = *Added;
-    if (E.OptGen > 0) {
-      // A certificate binds to the exact stored body bytes, so a rebase
-      // invalidates it: the promoted trace is then re-proved in full at
-      // materialization (empty span).
-      auto [CertData, CertSize] = View.certBlobOf(Install.TraceIndex);
-      PrimedCerts.emplace(Install.Start,
-                          Install.RebaseDelta == 0
-                              ? std::span<const uint8_t>(CertData, CertSize)
-                              : std::span<const uint8_t>());
-    }
+    PromotedInstalled |= E.OptGen > 0;
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
@@ -936,18 +924,19 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // still carries its promotion certificate is checked by it first. A
   // mismatch skips just that trace.
   const loader::AddressSpace &Space = Engine.machine().space();
+  std::vector<uint8_t> SourceBytes;
   auto semanticallyValid = [&](TraceRecord &Rec) -> bool {
     if (!Opts.ValidateSemantic)
       return true;
-    auto Source =
-        fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
+    Status Read = readGuestSource(Space, Rec.GuestStart,
+                                  Rec.GuestInstCount, SourceBytes);
     ProofVerdict V;
-    if (Source)
+    if (Read.ok())
       V = proveTrace({.GuestStart = Rec.GuestStart,
                       .Record = &Rec,
-                      .Source = &*Source,
+                      .Source = &SourceBytes,
                       .Cert = Rec.Cert});
-    if (!Source || !V.Proved) {
+    if (!Read.ok() || !V.Proved) {
       ++Engine.stats().VerifyFailures;
       return false;
     }
@@ -1036,7 +1025,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
                                    Rec.GuestInstCount, P->RelocMask,
                                    P->RebaseDelta);
       if (Opts.PositionIndependent)
-        Rec.RelocMask = P->RelocMask;
+        Rec.RelocMask.assign(P->RelocMask.begin(), P->RelocMask.end());
       reattachCert(Rec);
       if (!semanticallyValid(Rec))
         continue;
@@ -1207,12 +1196,15 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     for (const TraceRecord &Rec : File.Traces) {
       if (Rec.Heat < OptHeatThreshold || Rec.OptGen >= OptMaxGen)
         continue;
-      auto Src =
-          fetchGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount);
-      if (!Src)
+      if (!readGuestSource(Space, Rec.GuestStart, Rec.GuestInstCount,
+                           SourceBytes)
+               .ok())
         continue; // Unreadable source (e.g. a carried trace of a module
                   // this run never mapped): stays at its generation.
-      OptSources.emplace(Rec.GuestStart, Src.take());
+      OptSources.emplace(Rec.GuestStart,
+                         isa::decodeAll(SourceBytes.data(),
+                                        Rec.GuestInstCount)
+                             .take());
     }
 
   // The write charge is modeled on the pre-promotion snapshot in both

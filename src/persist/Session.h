@@ -51,9 +51,7 @@
 #include "support/ThreadPool.h"
 
 #include <memory>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pcc {
@@ -291,13 +289,10 @@ private:
   bool ModuleTableUnchanged = false;
   /// prime() installed every index entry of LoadedView.
   bool InstalledWholeFile = false;
-  /// Promoted traces installed by prime(), keyed by their (rebased)
-  /// start address: the value is the validation certificate that rode
-  /// in with the record (a span into LoadedView), or empty when none is
-  /// usable (rebase delta, or an uncertified record). Consumed by the
-  /// materialize-check hook, which certificate-checks the former and
-  /// re-proves the latter in full.
-  std::unordered_map<uint32_t, std::span<const uint8_t>> PrimedCerts;
+  /// prime() installed a promoted trace: its first execution is
+  /// checked by its certificate (PersistedPayload::Cert) or, without a
+  /// usable one, re-proved in full.
+  bool PromotedInstalled = false;
   bool LoadedWasOwn = false; ///< Cache came from this app's own slot.
   uint64_t LookupKey = 0;
   uint64_t EngineHash = 0;

@@ -6,13 +6,10 @@
 #include "analysis/Validator.h"
 #include "dbi/Compiler.h"
 
-#include <cassert>
-
 using namespace pcc;
 using namespace pcc::persist;
 
 ProofVerdict pcc::persist::proveTrace(const TraceProofRequest &Req) {
-  assert((Req.Body || Req.Record) && "nothing to prove");
   ProofVerdict V;
   auto rejectCert = [&](analysis::CertCheckStatus S,
                         const std::string &Detail) {
@@ -21,10 +18,10 @@ ProofVerdict pcc::persist::proveTrace(const TraceProofRequest &Req) {
                    (Detail.empty() ? "" : ": " + Detail);
   };
 
-  const std::vector<isa::Instruction> *Body = Req.Body;
+  std::span<const isa::Instruction> Body = Req.Body;
   std::vector<isa::Instruction> Decoded;
-  analysis::CertBindings Bind;
-  if (!Body) {
+  analysis::CertBindings Bind{Req.BodyBytes, {}};
+  if (Req.Record) {
     const TraceRecord &Rec = *Req.Record;
     const size_t BodyBytes =
         static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
@@ -44,18 +41,18 @@ ProofVerdict pcc::persist::proveTrace(const TraceProofRequest &Req) {
       return V;
     }
     Decoded = D.take();
-    Body = &Decoded;
+    Body = Decoded;
     // The body came straight from the stored encodings, so bind those
     // bytes and spare the checker a re-encode.
-    Bind.BodyBytes = Rec.Code.data() + dbi::TracePrologueBytes;
-    Bind.BodyByteCount = BodyBytes;
+    Bind.BodyBytes = {Rec.Code.data() + dbi::TracePrologueBytes, BodyBytes};
   }
+  if (Req.Source)
+    Bind.SourceBytes = *Req.Source;
 
   if (!Req.Cert.empty()) {
     V.CertChecked = true;
     analysis::CertCheckResult R = analysis::checkCertificateBlob(
-        Req.Cert.data(), Req.Cert.size(), Req.GuestStart, *Body, Req.Source,
-        Bind.BodyBytes ? &Bind : nullptr);
+        Req.Cert.data(), Req.Cert.size(), Req.GuestStart, Body, &Bind);
     if (R.ok()) {
       V.Proved = true;
       return V;
@@ -65,8 +62,14 @@ ProofVerdict pcc::persist::proveTrace(const TraceProofRequest &Req) {
   if (!Req.Source)
     return V; // Self-contained: no prover backstop.
   V.ProverRan = true;
+  auto Source = isa::decodeAll(Req.Source->data(),
+                               Req.Source->size() / isa::InstructionSize);
+  if (!Source) {
+    V.ProofDetail = "guest source: " + Source.status().message();
+    return V;
+  }
   analysis::ValidationResult Check = analysis::validateTranslation(
-      Req.GuestStart, *Req.Source, *Body, Req.CertOut);
+      Req.GuestStart, *Source, Body, Req.CertOut);
   V.Proved = Check.Equivalent;
   if (!V.Proved)
     V.ProofDetail = Check.message();

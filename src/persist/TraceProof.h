@@ -40,17 +40,26 @@ namespace persist {
 /// What to prove.
 struct TraceProofRequest {
   uint32_t GuestStart = 0;
-  /// The decoded body, used as-is (prime's rebased body, which must not
-  /// be bound to stored bytes). Null: decode it from Record.
-  const std::vector<isa::Instruction> *Body = nullptr;
-  /// Stored record whose code image supplies the body when Body is
-  /// null; the decoded encodings are bound for the certificate check.
+  /// The decoded body, used when Record is null (prime's materialized
+  /// body: the mapped instructions under XIP, the decoded pool copy
+  /// otherwise).
+  std::span<const isa::Instruction> Body = {};
+  /// Body's stored encodings — the bytes it was decoded from or
+  /// validated in place as — bound for the certificate check so the
+  /// checker CRCs them instead of re-encoding (analysis::CertBindings).
+  /// Empty: re-encode.
+  std::span<const uint8_t> BodyBytes = {};
+  /// Stored record whose code image supplies the body when set; its
+  /// decoded encodings are bound for the certificate check.
   const TraceRecord *Record = nullptr;
-  /// Guest instructions the body claims to translate. Null makes the
-  /// check self-contained: certificate only, no prover.
-  const std::vector<isa::Instruction> *Source = nullptr;
+  /// Raw guest bytes (one 8-byte encoding per body instruction) the
+  /// body claims to translate. They are bound for the certificate
+  /// check, which compares them with the embedded source, and decoded
+  /// only when the prover has to run. Null makes the check
+  /// self-contained: certificate only, no prover.
+  const std::vector<uint8_t> *Source = nullptr;
   /// Serialized certificate (empty: none).
-  std::span<const uint8_t> Cert;
+  std::span<const uint8_t> Cert = {};
   /// Receives a fresh certificate when the prover runs and succeeds.
   analysis::Certificate *CertOut = nullptr;
 };

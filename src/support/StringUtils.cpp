@@ -2,8 +2,10 @@
 
 #include "support/StringUtils.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace pcc;
 
@@ -76,5 +78,33 @@ ErrorOr<uint64_t> pcc::support::parseUnsigned(const char *Text,
         ErrorCode::InvalidArgument,
         formatString("must be a decimal number in 0..%llu, got '%s'",
                      static_cast<unsigned long long>(Max), Text));
+  return Value;
+}
+
+ErrorOr<double> pcc::support::parseDecimal(const char *Text) {
+  // Check the shape first: strtod alone would take a sign, leading
+  // blanks, an exponent, hex, "nan" and "inf".
+  unsigned Digits = 0, Points = 0;
+  const char *C = Text;
+  for (; *C; ++C) {
+    if (*C >= '0' && *C <= '9')
+      ++Digits;
+    else if (*C == '.' && Points == 0)
+      ++Points;
+    else
+      break;
+  }
+  double Value = 0;
+  if (Digits != 0 && *C == '\0') {
+    char *End = nullptr;
+    Value = std::strtod(Text, &End);
+    if (End != C || !std::isfinite(Value))
+      Digits = 0;
+  }
+  if (Digits == 0 || *C != '\0')
+    return Status::error(
+        ErrorCode::InvalidArgument,
+        formatString("must be a non-negative decimal number, got '%s'",
+                     Text));
   return Value;
 }

@@ -43,6 +43,12 @@ namespace support {
 /// never runs as 0 or as a truncated value.
 ErrorOr<uint64_t> parseUnsigned(const char *Text, uint64_t Max);
 
+/// Parses a non-negative decimal tool argument: digits with at most one
+/// decimal point and at least one digit ("1.1", "2", ".5", "3.").
+/// Empty text, signs, exponents, hex, nan/inf, trailing junk and values
+/// too large for a double are InvalidArgument.
+ErrorOr<double> parseDecimal(const char *Text);
+
 } // namespace support
 } // namespace pcc
 

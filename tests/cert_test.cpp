@@ -29,6 +29,7 @@
 #include "persist/MemoryStore.h"
 #include "persist/Session.h"
 #include "persist/TieredStore.h"
+#include "persist/TraceProof.h"
 #include "support/Hashing.h"
 #include "support/Random.h"
 #include "workloads/Fleet.h"
@@ -38,9 +39,62 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
+
+// Every heap allocation of this binary, so a test can require that a
+// warm certificate check makes none. All of the plain and nothrow
+// forms are replaced, so every delete pairs with a counted malloc (a
+// sanitizer's own operator new is never freed here). Kept out of line
+// so the compiler pairs inlined new/delete with these, not with
+// malloc/free.
+static std::atomic<uint64_t> HeapAllocations{0};
+
+static void *countedAlloc(size_t Size) noexcept {
+  ++HeapAllocations;
+  return std::malloc(Size ? Size : 1);
+}
+
+__attribute__((noinline)) void *operator new(size_t Size) {
+  if (void *P = countedAlloc(Size))
+    return P;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void *operator new[](size_t Size) {
+  return operator new(Size);
+}
+__attribute__((noinline)) void *operator new(size_t Size,
+                                             const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+__attribute__((noinline)) void *
+operator new[](size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+__attribute__((noinline)) void operator delete(void *P) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete[](void *P) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete(void *P, size_t) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete[](void *P, size_t) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete(void *P,
+                                               const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void
+operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 using namespace pcc;
 using namespace pcc::analysis;
@@ -147,15 +201,26 @@ run(const TinyWorkload &W, const std::vector<uint8_t> &Input,
   return workloads::runPersistent(W.Registry, W.App, Input, Db, Opts);
 }
 
+/// Options of a session with the optimization tier on, primed through
+/// one of the two installs: copying the payload into the code pool, or
+/// (\p Xip) PIC + execute-in-place from the mapped file.
+persist::PersistOptions optTierOptions(bool Xip = false) {
+  persist::PersistOptions Opt;
+  Opt.OptTier = true;
+  Opt.PositionIndependent = Xip;
+  Opt.ExecuteInPlace = Xip;
+  return Opt;
+}
+
 /// Runs \p W cold+warm with the optimization tier until the sole cache
 /// file carries promoted, certificate-bearing traces. Returns the file
 /// path.
 std::string growCertifiedCache(const TinyWorkload &W,
                                const persist::CacheDatabase &Db,
                                const std::string &Dir,
-                               const std::vector<uint8_t> &Input) {
-  persist::PersistOptions Opt;
-  Opt.OptTier = true;
+                               const std::vector<uint8_t> &Input,
+                               const persist::PersistOptions &Opt =
+                                   optTierOptions()) {
   auto Cold = run(W, Input, Db, Opt);
   EXPECT_TRUE(Cold.ok()) << Cold.status().toString();
   std::string Path = soleCachePath(Dir);
@@ -208,8 +273,10 @@ TEST(CertProof, RoundTripAndSelfContainedCheck) {
         checkCertificateBlob(Blob.data(), Blob.size(), Start, Body);
     EXPECT_TRUE(R.ok()) << R.Detail;
     // Bound to the real guest bytes (the prime-time situation).
+    const std::vector<uint8_t> Guest = isa::encodeAll(Body);
+    const CertBindings Bind{{}, Guest};
     R = checkCertificateBlob(Blob.data(), Blob.size(), Start, Body,
-                             &Body);
+                             &Bind);
     EXPECT_TRUE(R.ok()) << R.Detail;
   }
 
@@ -227,9 +294,10 @@ TEST(CertProof, RoundTripAndSelfContainedCheck) {
   ValidationResult V = validateTranslation(Start, Source, Elided, &Cert);
   ASSERT_TRUE(V.Equivalent) << V.message();
   std::vector<uint8_t> Blob = Cert.serialize();
-  CertCheckResult R =
-      checkCertificateBlob(Blob.data(), Blob.size(), Start, Elided,
-                           &Source);
+  const std::vector<uint8_t> Guest = isa::encodeAll(Source);
+  const CertBindings Bind{{}, Guest};
+  CertCheckResult R = checkCertificateBlob(Blob.data(), Blob.size(),
+                                           Start, Elided, &Bind);
   EXPECT_TRUE(R.ok()) << R.Detail;
 }
 
@@ -257,8 +325,9 @@ TEST(CertProof, RejectsStaleAndReboundBodies) {
   // proof (the embedded source no longer matches reality).
   std::vector<Instruction> OtherSource = Body;
   OtherSource[0] = isa::makeLdi(1, 0x44);
-  R = checkCertificateBlob(Blob.data(), Blob.size(), Start, Body,
-                           &OtherSource);
+  const std::vector<uint8_t> Guest = isa::encodeAll(OtherSource);
+  const CertBindings Bind{{}, Guest};
+  R = checkCertificateBlob(Blob.data(), Blob.size(), Start, Body, &Bind);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
 }
@@ -268,10 +337,19 @@ TEST(CertProof, EveryByteFlipRejectedNeverAccepted) {
   const std::vector<Instruction> Body = effectBody();
   const std::vector<uint8_t> Blob = certify(Start, Body);
 
+  // The materialization entry point binds the raw body and guest
+  // bytes instead of re-encoding and decoding; every damage below must
+  // be rejected through it too.
+  const std::vector<uint8_t> Bytes = isa::encodeAll(Body);
+  const CertBindings Bound{Bytes, Bytes};
+  ASSERT_TRUE(checkCertificateBlob(Blob.data(), Blob.size(), Start, Body,
+                                   &Bound)
+                  .ok());
+
   // Flip every byte of the blob (header, embedded source, steps,
   // witnesses, digests, trailing CRC): the check may fail at any stage
   // but must NEVER pass. Zero false accepts.
-  unsigned Rejected = 0;
+  unsigned Rejected = 0, BoundRejected = 0;
   for (size_t I = 0; I != Blob.size(); ++I) {
     std::vector<uint8_t> Bad = Blob;
     Bad[I] ^= 0xff;
@@ -279,8 +357,13 @@ TEST(CertProof, EveryByteFlipRejectedNeverAccepted) {
         checkCertificateBlob(Bad.data(), Bad.size(), Start, Body);
     Rejected += !R.ok();
     EXPECT_FALSE(R.ok()) << "byte " << I << " flip accepted";
+    R = checkCertificateBlob(Bad.data(), Bad.size(), Start, Body,
+                             &Bound);
+    BoundRejected += !R.ok();
+    EXPECT_FALSE(R.ok()) << "byte " << I << " flip accepted (bound)";
   }
   EXPECT_EQ(Rejected, Blob.size());
+  EXPECT_EQ(BoundRejected, Blob.size());
 
   // Single-bit flips across the fixed header (the adversary's cheapest
   // edit: version, counts, binding CRCs).
@@ -292,6 +375,10 @@ TEST(CertProof, EveryByteFlipRejectedNeverAccepted) {
           checkCertificateBlob(Bad.data(), Bad.size(), Start, Body);
       EXPECT_FALSE(R.ok())
           << "header bit " << I << ":" << Bit << " flip accepted";
+      R = checkCertificateBlob(Bad.data(), Bad.size(), Start, Body,
+                               &Bound);
+      EXPECT_FALSE(R.ok())
+          << "header bit " << I << ":" << Bit << " flip accepted (bound)";
     }
 
   // Truncation at every length short of the full blob.
@@ -299,7 +386,96 @@ TEST(CertProof, EveryByteFlipRejectedNeverAccepted) {
     CertCheckResult R =
         checkCertificateBlob(Blob.data(), Len, Start, Body);
     EXPECT_FALSE(R.ok()) << "truncation to " << Len << " accepted";
+    R = checkCertificateBlob(Blob.data(), Len, Start, Body,
+                             &Bound);
+    EXPECT_FALSE(R.ok())
+        << "truncation to " << Len << " accepted (bound)";
   }
+
+  // Every byte flip of the bound bytes themselves: a body or guest
+  // source that differs from what the certificate covers.
+  for (size_t I = 0; I != Bytes.size(); ++I) {
+    std::vector<uint8_t> Bad = Bytes;
+    Bad[I] ^= 0xff;
+    const CertBindings BadBody{Bad, Bytes}, BadSource{Bytes, Bad};
+    EXPECT_FALSE(checkCertificateBlob(Blob.data(), Blob.size(), Start,
+                                      Body, &BadBody)
+                     .ok())
+        << "body byte " << I << " flip accepted";
+    EXPECT_FALSE(checkCertificateBlob(Blob.data(), Blob.size(), Start,
+                                      Body, &BadSource)
+                     .ok())
+        << "source byte " << I << " flip accepted";
+  }
+}
+
+TEST(CertProof, BoundBytesBindBodyAndGuestSource) {
+  const uint32_t Start = 0x1000;
+  const std::vector<Instruction> Body = effectBody();
+  const std::vector<uint8_t> Blob = certify(Start, Body);
+  const std::vector<uint8_t> Bytes = isa::encodeAll(Body);
+  auto check = [&](const CertBindings &Bind) {
+    return checkCertificateBlob(Blob.data(), Blob.size(), Start, Body,
+                                &Bind);
+  };
+  // The identity translation: body, guest source and embedded source
+  // are the same bytes.
+  EXPECT_TRUE(check({Bytes, Bytes}).ok());
+  EXPECT_TRUE(check({Bytes, {}}).ok());
+  EXPECT_TRUE(check({{}, Bytes}).ok());
+
+  // Raw body bytes that are not the body's: the certificate covers the
+  // bytes that were bound, not the decoded vector next to them.
+  std::vector<Instruction> Other = Body;
+  Other[5] = isa::makeAluImm(Opcode::Addi, 4, 3, 2);
+  const std::vector<uint8_t> OtherBytes = isa::encodeAll(Other);
+  CertCheckResult R = check({OtherBytes, Bytes});
+  EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
+  R = check({std::span(Bytes).first(Bytes.size() - 8), Bytes});
+  EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
+
+  // Raw guest source bytes that differ from the embedded source, or are
+  // of another length, with or without the body bytes bound.
+  R = check({Bytes, OtherBytes});
+  EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
+  R = check({{}, OtherBytes});
+  EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
+  R = check({Bytes, std::span(Bytes).first(Bytes.size() - 8)});
+  EXPECT_EQ(R.Status, CertCheckStatus::BindMismatch) << R.Detail;
+}
+
+TEST(CertProof, WarmCheckAllocatesNothing) {
+  // The materialization path: raw body and guest bytes bound, the
+  // checker's scratch reused. After the first check has sized the
+  // scratch, checking again allocates nothing — through the checker
+  // and through proveTrace as the materialize hook calls it.
+  const uint32_t Start = 0x1000;
+  const std::vector<Instruction> Body = seededBody(11);
+  const std::vector<uint8_t> Blob = certify(Start, Body);
+  const std::vector<uint8_t> Bytes = isa::encodeAll(Body);
+  const CertBindings Bind{Bytes, Bytes};
+  const persist::TraceProofRequest Req{.GuestStart = Start,
+                                       .Body = Body,
+                                       .BodyBytes = Bytes,
+                                       .Source = &Bytes,
+                                       .Cert = Blob};
+  ASSERT_TRUE(checkCertificateBlob(Blob.data(), Blob.size(), Start, Body,
+                                   &Bind)
+                  .ok());
+  ASSERT_TRUE(persist::proveTrace(Req).Proved);
+
+  bool AllProved = true;
+  const uint64_t Before = HeapAllocations.load();
+  for (int I = 0; I != 50; ++I) {
+    AllProved &= checkCertificateBlob(Blob.data(), Blob.size(), Start,
+                                      Body, &Bind)
+                     .ok();
+    const persist::ProofVerdict V = persist::proveTrace(Req);
+    AllProved &= V.Proved && V.CertChecked && !V.ProverRan;
+  }
+  const uint64_t Allocations = HeapAllocations.load() - Before;
+  EXPECT_TRUE(AllProved);
+  EXPECT_EQ(Allocations, 0u);
 }
 
 TEST(CertProof, SeededMiscompileNeverCertifiedNorAccepted) {
@@ -429,56 +605,84 @@ TEST(CertSection, CorruptSectionDegradesFileStaysUsable) {
 // Prime-time policy: checker serves, prover backstops, results intact.
 //===----------------------------------------------------------------------===//
 
+// Both prime-time tests run on both installs — copying, and PIC +
+// execute-in-place, where the checker reads the body and its bytes
+// straight from the mapped file — and require the two to do exactly the
+// same proof work.
+
 TEST(CertPrime, WarmRunsServedByTrustedChecker) {
   TinyWorkload W = makeTinyWorkload(3, 2, 779);
-  TempDir Dir, RefDir;
-  persist::CacheDatabase Db(Dir.path()), Ref(RefDir.path());
+  TempDir RefDir;
+  persist::CacheDatabase Ref(RefDir.path());
   const std::vector<uint8_t> Input = W.allSlotsInput(4);
-  growCertifiedCache(W, Db, Dir.path(), Input);
-
-  persist::PersistOptions Opt;
-  Opt.OptTier = true;
-  auto Warm = run(W, Input, Db, Opt);
-  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
   auto Baseline = run(W, Input, Ref);
   ASSERT_TRUE(Baseline.ok());
-  EXPECT_TRUE(Warm->Run.observablyEquals(Baseline->Run));
-  // Every promoted install was served by the checker; the prover never
-  // ran and nothing failed.
-  EXPECT_GT(Warm->Stats.CertsChecked, 0u);
-  EXPECT_EQ(Warm->Stats.CertChecksFailed, 0u);
-  EXPECT_EQ(Warm->Stats.ProofsReplayed, 0u);
-  EXPECT_EQ(Warm->Stats.VerifyFailures, 0u);
+
+  dbi::EngineStats Stats[2];
+  for (bool Xip : {false, true}) {
+    SCOPED_TRACE(Xip ? "PIC + XIP install" : "copying install");
+    TempDir Dir;
+    persist::CacheDatabase Db(Dir.path());
+    const persist::PersistOptions Opt = optTierOptions(Xip);
+    growCertifiedCache(W, Db, Dir.path(), Input, Opt);
+
+    auto Warm = run(W, Input, Db, Opt);
+    ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+    EXPECT_EQ(Warm->Prime.XipInstalled, Xip);
+    EXPECT_TRUE(Warm->Run.observablyEquals(Baseline->Run));
+    // Every promoted install was served by the checker; the prover
+    // never ran and nothing failed.
+    EXPECT_GT(Warm->Stats.CertsChecked, 0u);
+    EXPECT_EQ(Warm->Stats.CertChecksFailed, 0u);
+    EXPECT_EQ(Warm->Stats.ProofsReplayed, 0u);
+    EXPECT_EQ(Warm->Stats.VerifyFailures, 0u);
+    Stats[Xip] = Warm->Stats;
+  }
+  EXPECT_EQ(Stats[0].CertsChecked, Stats[1].CertsChecked);
+  EXPECT_EQ(Stats[0].CertChecksFailed, Stats[1].CertChecksFailed);
+  EXPECT_EQ(Stats[0].ProofsReplayed, Stats[1].ProofsReplayed);
 }
 
 TEST(CertPrime, TamperedCertsFallBackToProverWithoutQuarantine) {
   TinyWorkload W = makeTinyWorkload(3, 2, 780);
-  TempDir Dir, RefDir;
-  persist::CacheDatabase Db(Dir.path()), Ref(RefDir.path());
+  TempDir RefDir;
+  persist::CacheDatabase Ref(RefDir.path());
   const std::vector<uint8_t> Input = W.allSlotsInput(4);
-  std::string Path = growCertifiedCache(W, Db, Dir.path(), Input);
-  unsigned Tampered = tamperCerts(Db, Path);
-
-  persist::PersistOptions Opt;
-  Opt.OptTier = true;
-  auto Warm = run(W, Input, Db, Opt);
-  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
   auto Baseline = run(W, Input, Ref);
   ASSERT_TRUE(Baseline.ok());
-  EXPECT_TRUE(Warm->Run.observablyEquals(Baseline->Run));
 
-  // 100% rejection: every tampered certificate that was checked failed,
-  // and the prover re-vouched for each rejected body (they are genuine
-  // translations, only the proof blob lied) — so nothing quarantined.
-  EXPECT_GT(Warm->Stats.CertsChecked, 0u);
-  EXPECT_EQ(Warm->Stats.CertChecksFailed, Warm->Stats.CertsChecked);
-  EXPECT_GE(Warm->Stats.CertChecksFailed, 1u);
-  EXPECT_LE(Warm->Stats.CertChecksFailed, Tampered);
-  EXPECT_GE(Warm->Stats.ProofsReplayed, Warm->Stats.CertChecksFailed);
-  EXPECT_EQ(Warm->Stats.VerifyFailures, 0u);
-  auto Q = Db.quarantined();
-  ASSERT_TRUE(Q.ok());
-  EXPECT_TRUE(Q->empty());
+  dbi::EngineStats Stats[2];
+  for (bool Xip : {false, true}) {
+    SCOPED_TRACE(Xip ? "PIC + XIP install" : "copying install");
+    TempDir Dir;
+    persist::CacheDatabase Db(Dir.path());
+    const persist::PersistOptions Opt = optTierOptions(Xip);
+    std::string Path = growCertifiedCache(W, Db, Dir.path(), Input, Opt);
+    unsigned Tampered = tamperCerts(Db, Path);
+
+    auto Warm = run(W, Input, Db, Opt);
+    ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+    EXPECT_EQ(Warm->Prime.XipInstalled, Xip);
+    EXPECT_TRUE(Warm->Run.observablyEquals(Baseline->Run));
+
+    // 100% rejection: every tampered certificate that was checked
+    // failed, and the prover re-vouched for each rejected body (they
+    // are genuine translations, only the proof blob lied) — so nothing
+    // quarantined.
+    EXPECT_GT(Warm->Stats.CertsChecked, 0u);
+    EXPECT_EQ(Warm->Stats.CertChecksFailed, Warm->Stats.CertsChecked);
+    EXPECT_GE(Warm->Stats.CertChecksFailed, 1u);
+    EXPECT_LE(Warm->Stats.CertChecksFailed, Tampered);
+    EXPECT_GE(Warm->Stats.ProofsReplayed, Warm->Stats.CertChecksFailed);
+    EXPECT_EQ(Warm->Stats.VerifyFailures, 0u);
+    auto Q = Db.quarantined();
+    ASSERT_TRUE(Q.ok());
+    EXPECT_TRUE(Q->empty());
+    Stats[Xip] = Warm->Stats;
+  }
+  EXPECT_EQ(Stats[0].CertsChecked, Stats[1].CertsChecked);
+  EXPECT_EQ(Stats[0].CertChecksFailed, Stats[1].CertChecksFailed);
+  EXPECT_EQ(Stats[0].ProofsReplayed, Stats[1].ProofsReplayed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -304,6 +304,34 @@ TEST(ParseUnsigned, AcceptsOnlyDecimalValuesUpToTheMaximum) {
   EXPECT_EQ(Accepted("18446744073709551615", UINT64_MAX), UINT64_MAX);
 }
 
+TEST(ParseDecimal, AcceptsOnlyNonNegativeDecimalFractions) {
+  // Parse only: the values stand for a popularity skew, never acted on.
+  using support::parseDecimal;
+  auto Rejected = [](const char *Text) {
+    auto D = parseDecimal(Text);
+    return !D && D.status().code() == ErrorCode::InvalidArgument;
+  };
+  for (const char *Bad :
+       {"", ".", "abc", "1.1abc", "1.1 ", " 1.1", "-1", "+1", "-0.5",
+        "1e3", "1E3", "0x10", "nan", "NAN", "inf", "infinity", "1..2",
+        "1.2.3", "1,5"})
+    EXPECT_TRUE(Rejected(Bad)) << "'" << Bad << "'";
+  // Too large for a double: overflow, not infinity.
+  EXPECT_TRUE(Rejected(std::string(400, '9').c_str()));
+
+  auto Accepted = [](const char *Text) -> double {
+    auto D = parseDecimal(Text);
+    EXPECT_TRUE(D.ok()) << "'" << Text << "'";
+    return D ? *D : -1.0;
+  };
+  EXPECT_EQ(Accepted("0"), 0.0);
+  EXPECT_EQ(Accepted("1.1"), 1.1);
+  EXPECT_EQ(Accepted("2"), 2.0);
+  EXPECT_EQ(Accepted(".5"), 0.5);
+  EXPECT_EQ(Accepted("3."), 3.0);
+  EXPECT_EQ(Accepted("007.25"), 7.25);
+}
+
 TEST(TablePrinter, RendersAlignedColumns) {
   TablePrinter Table("demo");
   Table.addRow({"name", "value"});

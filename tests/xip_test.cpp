@@ -231,6 +231,50 @@ TEST(Xip, EvictOldestDisownsSurvivorsAndReleasesMapping) {
   EXPECT_EQ(Cache.codeBytesUsed(), TraceBytes);
 }
 
+TEST(Xip, PersistedPayloadViewsKeepTheirFileAlive) {
+  // An unexecuted persisted trace's payload views the primed file (its
+  // certificate, its reloc mask). The cache owns that file on both
+  // installs: eviction that leaves such a payload behind keeps it, and
+  // only the last payload's departure (here, a flush) releases it.
+  for (bool Borrowed : {false, true}) {
+    SCOPED_TRACE(Borrowed ? "borrowed pool" : "copied pool");
+    auto File = std::make_shared<std::vector<uint8_t>>(64, 0);
+    std::weak_ptr<std::vector<uint8_t>> Weak = File;
+    const uint32_t TraceBytes = 32;
+    dbi::CodeCache Cache(1 << 20, 1 << 20);
+    ASSERT_TRUE((Borrowed ? Cache.installBorrowedPool(
+                                File->data(), 2 * TraceBytes,
+                                std::shared_ptr<const void>(File))
+                          : Cache.installPersistedPool(
+                                *File, std::shared_ptr<const void>(File)))
+                    .ok());
+    std::vector<dbi::TraceExit> Exits(1);
+    for (uint32_t I = 0; I != 2; ++I) {
+      auto T = std::make_unique<dbi::TranslatedTrace>(
+          0x1000 * (I + 1), 2, I * TraceBytes, TraceBytes, Exits,
+          /*FromPersistentCache=*/true);
+      auto Payload = std::make_unique<dbi::PersistedPayload>();
+      Payload->Cert = std::span<const uint8_t>(File->data() + 40, 8);
+      Payload->Xip = Borrowed;
+      T->setPersistedPayload(std::move(Payload));
+      ASSERT_TRUE(Cache.addTrace(std::move(T)).ok());
+    }
+    File.reset();
+
+    EXPECT_EQ(Cache.evictOldest(0.5), 1u);
+    EXPECT_FALSE(Weak.expired())
+        << "a surviving payload still views the file";
+    dbi::TranslatedTrace *Survivor = Cache.lookup(0x2000);
+    ASSERT_NE(Survivor, nullptr);
+    ASSERT_NE(Survivor->persistedPayload(), nullptr);
+    EXPECT_FALSE(Survivor->persistedPayload()->Xip);
+    EXPECT_EQ(Survivor->persistedPayload()->Cert.size(), 8u);
+
+    Cache.flush();
+    EXPECT_TRUE(Weak.expired()) << "flush must release the file";
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption: a mapped body that fails its CRC is retranslated.
 //===----------------------------------------------------------------------===//

@@ -132,7 +132,8 @@ int main(int Argc, char **Argv) {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
     // Numeric values are decimal only and range-checked: a bad one
-    // sets BadValue and exits 2 below.
+    // sets BadValue and exits 2 below. --zipf takes a non-negative
+    // decimal fraction, the others whole numbers.
     std::string BadValue;
     auto nextU64 = [&](uint64_t &Out, uint64_t Max = UINT64_MAX) {
       const char *V = next();
@@ -174,8 +175,14 @@ int main(int Argc, char **Argv) {
     else if (Arg == "--zipf") {
       const char *V = next();
       Ok = V != nullptr;
-      if (V)
-        Opts.ZipfS = std::strtod(V, nullptr);
+      if (V) {
+        auto S = support::parseDecimal(V);
+        if (S)
+          Opts.ZipfS = *S;
+        else
+          BadValue = S.status().message();
+        Ok = S.ok();
+      }
     } else if (Arg == "--jobs") {
       const char *V = next();
       Ok = V != nullptr;
